@@ -20,6 +20,7 @@ __all__ = [
     "virtual_to_spatial",
     "angle_to_virtual",
     "steering_vector",
+    "steering_factors",
     "channel_matrix",
     "real_channel_vector",
     "real_channel_vectors",
@@ -137,15 +138,33 @@ def steering_vector(nu: float, M: int) -> np.ndarray:
     return np.exp(-2j * np.pi * m * nu)
 
 
-def channel_matrix(state: ChannelState, tx: ArrayGeometry, rx: ArrayGeometry) -> np.ndarray:
-    """Complex M_R x M_T channel: sum over paths of gain * a_R(nu_R) a_T(nu_T)^H."""
-    nu_t = virtual_to_spatial(state.tx_positions, tx)
-    nu_r = virtual_to_spatial(state.rx_positions, rx)
+def steering_factors(
+    X: np.ndarray, L: int, tx: ArrayGeometry, rx: ArrayGeometry
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Path gains and steering matrices for each row of a (P, 6L) state matrix.
+
+    Returns ``(gains, a_t, a_r)`` of shapes (P, L), (P, M_T, L) and
+    (P, M_R, L).  Row p's channel is ``a_r[p] @ diag(gains[p]) @ a_t[p]^H``,
+    a rank-L factorization that callers can work with directly instead of
+    forming the M_R x M_T matrix.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != 6 * L:
+        raise DimensionMismatch(f"state rows must have length {6 * L}, got {X.shape[1]}")
+    gains = X[:, 0 : 2 * L : 2] + 1j * X[:, 1 : 2 * L : 2]
+    nu_t = virtual_to_spatial(X[:, 2 * L : 4 * L : 2], tx)
+    nu_r = virtual_to_spatial(X[:, 4 * L : 6 * L : 2], rx)
     m_t = np.arange(1, tx.num_antennas + 1)
     m_r = np.arange(1, rx.num_antennas + 1)
-    a_t = np.exp(-2j * np.pi * np.outer(m_t, nu_t))  # (M_T, L)
-    a_r = np.exp(-2j * np.pi * np.outer(m_r, nu_r))  # (M_R, L)
-    return (a_r * state.gains) @ a_t.conj().T
+    a_t = np.exp(-2j * np.pi * nu_t[:, None, :] * m_t[None, :, None])
+    a_r = np.exp(-2j * np.pi * nu_r[:, None, :] * m_r[None, :, None])
+    return gains, a_t, a_r
+
+
+def channel_matrix(state: ChannelState, tx: ArrayGeometry, rx: ArrayGeometry) -> np.ndarray:
+    """Complex M_R x M_T channel: sum over paths of gain * a_R(nu_R) a_T(nu_T)^H."""
+    gains, a_t, a_r = steering_factors(state.x, state.L, tx, rx)
+    return (a_r[0] * gains[0]) @ a_t[0].conj().T
 
 
 def real_channel_vector(state: ChannelState, tx: ArrayGeometry, rx: ArrayGeometry) -> np.ndarray:
@@ -163,16 +182,7 @@ def real_channel_vectors(
     Used on sigma-point sets; one vectorized evaluation instead of P scalar
     calls.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != 6 * L:
-        raise DimensionMismatch(f"state rows must have length {6 * L}, got {X.shape[1]}")
-    gains = X[:, 0 : 2 * L : 2] + 1j * X[:, 1 : 2 * L : 2]  # (P, L)
-    nu_t = virtual_to_spatial(X[:, 2 * L : 4 * L : 2], tx)  # (P, L)
-    nu_r = virtual_to_spatial(X[:, 4 * L : 6 * L : 2], rx)  # (P, L)
-    m_t = np.arange(1, tx.num_antennas + 1)
-    m_r = np.arange(1, rx.num_antennas + 1)
-    a_t = np.exp(-2j * np.pi * nu_t[:, None, :] * m_t[None, :, None])  # (P, M_T, L)
-    a_r = np.exp(-2j * np.pi * nu_r[:, None, :] * m_r[None, :, None])  # (P, M_R, L)
+    gains, a_t, a_r = steering_factors(X, L, tx, rx)
     H = np.einsum("prl,pl,ptl->prt", a_r, gains, a_t.conj())  # (P, M_R, M_T)
-    hv = H.transpose(0, 2, 1).reshape(X.shape[0], -1)  # column-major vec per row
+    hv = H.transpose(0, 2, 1).reshape(H.shape[0], -1)  # column-major vec per row
     return np.concatenate([hv.real, hv.imag], axis=1)

@@ -120,6 +120,26 @@ def advance_mean(x_hat: ChannelState, tp: TransitionPair) -> ChannelState:
     return ChannelState(x_hat.L, tp.A @ x_hat.x)
 
 
+def predicted_mean(model: DynamicsModel, x: np.ndarray, horizon) -> np.ndarray:
+    """Noise-free state ``horizon`` seconds after x, in closed form.
+
+    Equals ``build_transition(model, h).A @ x`` for each horizon h: gains
+    scaled by ``beta ** (h / T_S)``, each position moved by h times its
+    velocity.  ``horizon`` may be a scalar or a 1-D array of nonnegative
+    horizons (zero returns x itself); the result has shape
+    ``horizon.shape + x.shape``.
+    """
+    h = np.asarray(horizon, dtype=float)
+    if np.any(h < 0.0):
+        raise NonpositiveStep(f"horizon must be nonnegative, got {horizon}")
+    L = model.L
+    h = h[..., None]
+    out = np.array(np.broadcast_to(np.asarray(x, dtype=float), h.shape[:-1] + (6 * L,)))
+    out[..., : 2 * L] *= model.beta ** (h / model.T_S)
+    out[..., 2 * L :: 2] += h * out[..., 2 * L + 1 :: 2]
+    return out
+
+
 def advance_covariance(R: np.ndarray, tp: TransitionPair) -> np.ndarray:
     """Propagates a state covariance: A R A^T + Q, symmetrized."""
     R = np.asarray(R, dtype=float)

@@ -9,6 +9,18 @@ estimate held fixed, the tracked estimate forward-predicted to the current
 instant, and an unfiltered one-shot estimate redrawn each period with the
 same statistics as the initializer.
 
+Each coherence period is simulated as array work over its fine steps.  The
+period's process noise is drawn as one block and the true state is advanced
+step by step through the fine-step transition, so the truth is bit-identical
+to one ``advance_truth`` call per step; the period ends early at the first
+state whose norm reaches ``DIVERGENCE_NORM``.  The metrics never form a
+channel matrix.  Each channel is kept in its rank-L factored form
+``a_R diag(g) a_T^H``: spectral gains and dominant beams come from reduced QRs
+of the steering factors and an SVD of the small core, beam gains are sums
+over paths, and the held estimate's predicted mean is in closed form.  Steps
+are processed ``BLOCK_ROWS`` at a time, which caps memory whatever the
+period length.
+
 Runs are reproducible and order-independent: run ``i`` of a config seeds all
 of its randomness from ``SeedSequence([seed, i])``, with separate child
 streams for the scenario draw, the process noise, the observation noise, and
@@ -17,6 +29,7 @@ the one-shot arm, so no arm perturbs another.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -27,8 +40,8 @@ from functools import partial
 import numpy as np
 
 from .beams import design_beams
-from .channel import ArrayGeometry, ChannelState, channel_matrix
-from .dynamics import DynamicsModel, advance_truth, build_transition
+from .channel import ArrayGeometry, ChannelState, steering_factors
+from .dynamics import DynamicsModel, build_transition, predicted_mean
 from .errors import BadConfig, EmptyInput, ZeroChannel
 from .sounding import build_plan, observe
 from .tracker import (
@@ -52,6 +65,11 @@ DIVERGENCE_NORM = 1e9
 # partial steps (see tracker.update).
 FILTER_PARAMS = UkfParams(eta=0.2)
 UPDATE_STEPS = 20
+
+# Fine steps whose metrics are computed together.  It bounds the stacked
+# steering factors and their QR and SVD work arrays, so a long coherence
+# period needs no more memory than a short one.
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -228,12 +246,59 @@ def _initial_covariance(cfg: ScenarioConfig) -> np.ndarray:
     return np.diag(diag)
 
 
+def _dense_factors(H: np.ndarray):
+    """A dense channel as the factored form: unit gains, identity a_t."""
+    H = np.asarray(H, dtype=complex)
+    return np.ones(H.shape[1]), np.eye(H.shape[1]), H
+
+
+def _channel_core(gains, a_t, a_r):
+    """Orthonormal bases and core of channels ``a_r @ diag(gains) @ a_t^H``.
+
+    Works on stacks (leading axes) of factors.  With reduced QRs
+    ``a_t = q_t r_t`` and ``a_r = q_r r_r`` the channel is
+    ``q_r @ core @ q_t^H``, where ``core = r_r diag(gains) r_t^H`` is at most
+    min(M_R, L) x min(M_T, L).  The channel and its core therefore share
+    their singular values, and q_r, q_t map the core's singular vectors to
+    the channel's.
+    """
+    q_t, r_t = np.linalg.qr(a_t)
+    q_r, r_r = np.linalg.qr(a_r)
+    core = (r_r * gains[..., None, :]) @ np.swapaxes(r_t, -1, -2).conj()
+    return q_t, core, q_r
+
+
+def _spectral_gains(gains, a_t, a_r) -> np.ndarray:
+    """Squared spectral norm of each factored channel."""
+    _, core, _ = _channel_core(gains, a_t, a_r)
+    return np.linalg.svd(core, compute_uv=False)[..., 0] ** 2
+
+
+def _dominant_beams(gains, a_t, a_r) -> tuple[np.ndarray, np.ndarray]:
+    """Dominant right/left singular vectors (f, z) of each factored channel."""
+    q_t, core, q_r = _channel_core(gains, a_t, a_r)
+    u, s, vh = np.linalg.svd(core)
+    if np.any(s[..., 0] <= 0.0):
+        raise ZeroChannel("cannot pick beams for an all-zero channel estimate")
+    f = q_t @ vh[..., 0, :, None].conj()
+    z = q_r @ u[..., :, :1]
+    return f[..., 0], z[..., 0]
+
+
+def _beam_gains(gains, a_t, a_r, f, z) -> np.ndarray:
+    """``|z^H H f|^2`` of each factored channel, as a sum over its paths.
+
+    ``z^H H f = sum_l (z^H a_r[:, l]) gains[l] (a_t[:, l]^H f)``; the beams
+    f and z may be shared by the whole stack or given per channel.
+    """
+    z_r = np.einsum("...m,...ml->...l", z.conj(), a_r)
+    t_f = np.einsum("...ml,...m->...l", a_t.conj(), f)
+    return np.abs(np.sum(z_r * gains * t_f, axis=-1)) ** 2
+
+
 def beamformers_from_estimate(H_est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dominant right/left singular vectors of an estimated channel matrix."""
-    u, s, vh = np.linalg.svd(np.asarray(H_est, dtype=complex))
-    if s[0] <= 0.0:
-        raise ZeroChannel("cannot pick beams for an all-zero channel estimate")
-    return vh[0].conj(), u[:, 0]
+    return _dominant_beams(*_dense_factors(H_est))
 
 
 def snr_loss_ratio(H_true: np.ndarray, H_est: np.ndarray) -> float:
@@ -244,14 +309,70 @@ def snr_loss_ratio(H_true: np.ndarray, H_est: np.ndarray) -> float:
     spectral gain, a number in [0, 1].
     """
     f, z = beamformers_from_estimate(H_est)
-    denom = np.linalg.norm(np.asarray(H_true, dtype=complex), 2) ** 2
+    true = _dense_factors(H_true)
+    denom = _spectral_gains(*true)
     if denom <= 0.0:
         raise ZeroChannel("true channel is zero; loss ratio undefined")
-    return float(np.abs(z.conj() @ H_true @ f) ** 2 / denom)
+    return float(_beam_gains(*true, f, z) / denom)
 
 
-def _loss_given_beams(H_true, f, z, spectral_gain) -> float:
-    return float(np.abs(z.conj() @ H_true @ f) ** 2 / spectral_gain)
+def _healthy(x: np.ndarray) -> bool:
+    """Whether a state's norm is below DIVERGENCE_NORM.
+
+    A non-finite entry makes the norm NaN or inf, which compares false.  The
+    norm is np.linalg.norm's for a real vector, sqrt(x . x), without its
+    per-call overhead, which the fine-grid truth loop would pay every step.
+    """
+    return math.sqrt(x @ x) < DIVERGENCE_NORM
+
+
+def _truth_rows(x, tp, rng, steps: int, advance_first: bool) -> np.ndarray:
+    """A period's true states on the fine grid, cut before the first unhealthy one.
+
+    Row 0 is x, advanced one step first if ``advance_first``; each later row
+    advances the row before.  The process noise is drawn from rng as one
+    block, the same numbers in the same order as one advance_truth call per
+    step, and each step is the same product, so the rows are bit-identical
+    to advance_truth's.
+    """
+    skipped = 0 if advance_first else 1
+    noise = np.sqrt(np.diagonal(tp.Q)) * rng.standard_normal(
+        (steps - skipped, x.shape[0])
+    )
+    rows = np.empty((steps, x.shape[0]))
+    for j in range(steps):
+        if j >= skipped:
+            x = tp.A @ x + noise[j - skipped]
+        if not _healthy(x):
+            return rows[:j]
+        rows[j] = x
+    return rows
+
+
+def _period_metrics(rec, start, X, x_held, x_oneshot, model, tx, rx) -> None:
+    """Fills the three arms' metrics for the fine steps of one period.
+
+    X holds the true states from the sounding instant ``start`` on.  The held
+    and one-shot beams are fixed for the period; the predicted beams follow
+    the held estimate's closed-form mean to each step.
+    """
+    L = model.L
+    f, z = _dominant_beams(*steering_factors(np.stack([x_held, x_oneshot]), L, tx, rx))
+    times = rec.times[start : start + X.shape[0]]
+    for b in range(0, X.shape[0], BLOCK_ROWS):
+        rows = slice(b, b + BLOCK_ROWS)
+        true = steering_factors(X[rows], L, tx, rx)
+        spectral = _spectral_gains(*true)
+        held = _beam_gains(*true, f[0], z[0]) / spectral
+        predicted = predicted_mean(model, x_held, times[rows] - times[0])
+        f_pred, z_pred = _dominant_beams(*steering_factors(predicted, L, tx, rx))
+        out = slice(start + b, start + b + held.shape[0])
+        rec.tracked_loss[out] = held
+        rec.oneshot_loss[out] = _beam_gains(*true, f[1], z[1]) / spectral
+        rec.prediction_gain[out] = (
+            _beam_gains(*true, f_pred, z_pred) / spectral / np.maximum(held, 1e-300)
+        )
+    rec.prediction_gain[start] = 1.0
 
 
 def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
@@ -293,69 +414,43 @@ def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
         innovation_norms=np.full(n_obs, np.nan),
     )
 
-    held_beams = oneshot_beams = None
-    period_start = 0.0
-    for i in range(n_fine):
-        t = i * cfg.fine_step
-        if i > 0:
-            truth = advance_truth(truth, tp_fine, rng_truth)
-        if not (np.all(np.isfinite(truth.x)) and np.linalg.norm(truth.x) < DIVERGENCE_NORM):
+    x_true = truth.x
+    for k in range(n_obs):
+        X = _truth_rows(x_true, tp_fine, rng_truth, per_obs, advance_first=k > 0)
+        if X.shape[0] == 0:
             rec.diverged = True
             break
 
-        if i % per_obs == 0:
-            k = i // per_obs
-            if k > 0:
-                ts = predict(ts, tp_obs)
-            sigma = sigma_points(ts.x_hat.x, ts.R, params)
-            stats = channel_statistics(sigma, channel_fn)
-            n_t = cfg.first_N_T if k == 0 and cfg.first_N_T else cfg.N_T
-            n_r = cfg.first_N_R if k == 0 and cfg.first_N_R else cfg.N_R
-            design = design_beams(ts, tx, rx, params, rho, n_t, n_r, stats=stats)
-            plan = build_plan(design.F, design.Z)
+        if k > 0:
+            ts = predict(ts, tp_obs)
+        sigma = sigma_points(ts.x_hat.x, ts.R, params)
+        stats = channel_statistics(sigma, channel_fn)
+        n_t = cfg.first_N_T if k == 0 and cfg.first_N_T else cfg.N_T
+        n_r = cfg.first_N_R if k == 0 and cfg.first_N_R else cfg.N_R
+        design = design_beams(ts, tx, rx, params, rho, n_t, n_r, stats=stats)
+        plan = build_plan(design.F, design.Z)
 
-            h_true = channel_fn(truth.x[None, :])[0]
-            obs = observe(plan, h_true, rho, rng_obs, time_index=k)
-            rec.innovation_norms[k] = np.linalg.norm(
-                obs.y_real - plan.G_real @ stats.h_hat
-            )
-            ts = update(
-                ts, plan, obs, params, rho, channel_fn, stats, steps=UPDATE_STEPS
-            )
-            if not (
-                np.all(np.isfinite(ts.x_hat.x))
-                and np.linalg.norm(ts.x_hat.x) < DIVERGENCE_NORM
-            ):
-                rec.diverged = True
-                break
-            rec.trace_wr[k] = np.trace(ts.R)
+        h_true = channel_fn(X[:1])[0]
+        obs = observe(plan, h_true, rho, rng_obs, time_index=k)
+        rec.innovation_norms[k] = np.linalg.norm(obs.y_real - plan.G_real @ stats.h_hat)
+        ts = update(ts, plan, obs, params, rho, channel_fn, stats, steps=UPDATE_STEPS)
+        if not _healthy(ts.x_hat.x):
+            rec.diverged = True
+            break
+        rec.trace_wr[k] = np.trace(ts.R)
 
-            period_start = t
-            H_held = channel_matrix(ts.x_hat, tx, rx)
-            held_beams = beamformers_from_estimate(H_held)
-            oneshot = _noisy_estimate(truth, cfg, rng_oneshot)
-            oneshot_beams = beamformers_from_estimate(channel_matrix(oneshot, tx, rx))
-
-        H_true = channel_matrix(truth, tx, rx)
-        spectral_gain = np.linalg.norm(H_true, 2) ** 2
-        held_loss = _loss_given_beams(H_true, *held_beams, spectral_gain)
-        rec.tracked_loss[i] = held_loss
-        rec.oneshot_loss[i] = _loss_given_beams(H_true, *oneshot_beams, spectral_gain)
-
-        horizon = t - period_start
-        if horizon > 0.0:
-            tp_h = build_transition(model, horizon)
-            predicted = ChannelState(cfg.L, tp_h.A @ ts.x_hat.x)
-            pred_beams = beamformers_from_estimate(channel_matrix(predicted, tx, rx))
-            pred_loss = _loss_given_beams(H_true, *pred_beams, spectral_gain)
-            rec.prediction_gain[i] = pred_loss / max(held_loss, 1e-300)
-        else:
-            rec.prediction_gain[i] = 1.0
-
-        rec.true_tx[i] = truth.tx_positions
-        rec.est_tx[i] = ts.x_hat.tx_positions
-        rec.true_rx[i] = truth.rx_positions
-        rec.est_rx[i] = ts.x_hat.rx_positions
+        oneshot = _noisy_estimate(ChannelState(cfg.L, X[0]), cfg, rng_oneshot)
+        start = k * per_obs
+        _period_metrics(rec, start, X, ts.x_hat.x, oneshot.x, model, tx, rx)
+        done = slice(start, start + X.shape[0])
+        rec.true_tx[done] = X[:, 2 * cfg.L : 4 * cfg.L : 2]
+        rec.est_tx[done] = ts.x_hat.tx_positions
+        rec.true_rx[done] = X[:, 4 * cfg.L : 6 * cfg.L : 2]
+        rec.est_rx[done] = ts.x_hat.rx_positions
+        if X.shape[0] < per_obs:
+            rec.diverged = True
+            break
+        x_true = X[-1]
 
     return rec
 

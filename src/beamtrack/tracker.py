@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .channel import ArrayGeometry, ChannelState, channel_matrix, real_channel_vectors
-from .dynamics import DynamicsModel, TransitionPair, advance_covariance, build_transition
+from .dynamics import DynamicsModel, TransitionPair, advance_covariance, predicted_mean
 from .errors import (
     BadScaling,
     DimensionMismatch,
@@ -280,15 +280,10 @@ def forward_predict_channel(
 ) -> np.ndarray:
     """Predicts the complex channel matrix ``horizon`` seconds ahead.
 
-    The deterministic part of the dynamics is exact for any step length, so a
-    single transition covers the whole horizon.  The filter itself is not
+    The deterministic part of the dynamics is exact for any step length, so
+    the closed-form mean covers the whole horizon.  The filter itself is not
     advanced; this is a read-only projection for beam pointing between
     soundings.
     """
-    if horizon < 0.0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    state = ts.x_hat
-    if horizon > 0.0:
-        tp = build_transition(model, horizon)
-        state = ChannelState(state.L, tp.A @ state.x)
+    state = ChannelState(ts.x_hat.L, predicted_mean(model, ts.x_hat.x, horizon))
     return channel_matrix(state, tx, rx)

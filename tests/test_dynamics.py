@@ -11,6 +11,7 @@ from beamtrack.dynamics import (
     advance_mean,
     advance_truth,
     build_transition,
+    predicted_mean,
 )
 from beamtrack.errors import BadConfig, DimensionMismatch, NonpositiveStep
 
@@ -138,6 +139,26 @@ class TestAdvanceMean:
         half = build_transition(model, TS / 2.0)
         full = build_transition(model, TS)
         np.testing.assert_allclose(half.A @ half.A, full.A, rtol=1e-13)
+
+
+class TestPredictedMean:
+    def test_matches_transition_matrix(self):
+        model = reference_model(L=3, beta=0.905)
+        x = np.random.default_rng(12).standard_normal(18) * np.tile([1.0, 1e3], 9)
+        horizons = np.array([1e-7, 3.3e-5, TS, 2.5 * TS])
+        out = predicted_mean(model, x, horizons)
+        assert out.shape == (4, 18)
+        for row, h in zip(out, horizons):
+            np.testing.assert_allclose(row, build_transition(model, h).A @ x, rtol=1e-14)
+        np.testing.assert_array_equal(predicted_mean(model, x, horizons[2]), out[2])
+
+    def test_zero_horizon_is_identity(self):
+        x = np.arange(12.0)
+        np.testing.assert_array_equal(predicted_mean(reference_model(L=2), x, 0.0), x)
+
+    def test_rejects_negative_horizon(self):
+        with pytest.raises(NonpositiveStep):
+            predicted_mean(reference_model(), np.zeros(6), [1e-4, -1e-4])
 
 
 class TestAdvanceCovariance:

@@ -3,16 +3,31 @@
 import numpy as np
 import pytest
 
-from beamtrack.channel import steering_vector
+from beamtrack.beams import design_beams
+from beamtrack.channel import ArrayGeometry, ChannelState, channel_matrix, steering_vector
+from beamtrack.dynamics import DynamicsModel, advance_truth, build_transition
 from beamtrack.errors import BadConfig, EmptyInput, ZeroChannel
 from beamtrack.simulate import (
+    DIVERGENCE_NORM,
+    FILTER_PARAMS,
+    UPDATE_STEPS,
     RunRecord,
     ScenarioConfig,
+    _noisy_estimate,
     aggregate_runs,
     generate_scenario,
     run_frame,
     run_many,
     snr_loss_ratio,
+)
+from beamtrack.sounding import build_plan, observe
+from beamtrack.tracker import (
+    TrackerState,
+    channel_statistics,
+    make_channel_fn,
+    predict,
+    sigma_points,
+    update,
 )
 
 
@@ -31,6 +46,116 @@ def small_config(**overrides):
     )
     fields.update(overrides)
     return ScenarioConfig(**fields)
+
+
+def per_step_reference(cfg, run_index=0) -> RunRecord:
+    """run_frame as one scalar step per fine-grid instant.
+
+    Advances the truth with advance_truth, forms every channel matrix, takes
+    spectral norms and dominant singular vectors from dense SVDs, and
+    predicts the held estimate with build_transition over each horizon.  It
+    shares run_frame's seed streams and sounding steps.
+    """
+    tx = ArrayGeometry(cfg.M_T, cfg.d_over_lambda)
+    rx = ArrayGeometry(cfg.M_R, cfg.d_over_lambda)
+    model = DynamicsModel(
+        L=cfg.L, beta=cfg.beta, T_S=cfg.T_S, q_upsilon=np.array(cfg.q_upsilon)
+    )
+    tp_fine = build_transition(model, cfg.fine_step)
+    tp_obs = build_transition(model, cfg.T_S)
+    channel_fn = make_channel_fn(cfg.L, tx, rx)
+    seq = np.random.SeedSequence([cfg.seed, run_index])
+    rng_scenario, rng_truth, rng_obs, rng_oneshot = (
+        np.random.default_rng(s) for s in seq.spawn(4)
+    )
+    truth, estimate, R0 = generate_scenario(cfg, rng_scenario)
+    ts = TrackerState(estimate, R0)
+    n_fine, n_obs, per_obs = cfg.num_fine_steps, cfg.num_observations, cfg.steps_per_period
+    rec = RunRecord(
+        times=np.arange(n_fine) * cfg.fine_step,
+        **{
+            name: np.full((n_fine, cfg.L), np.nan)
+            for name in ("true_tx", "est_tx", "true_rx", "est_rx")
+        },
+        **{
+            name: np.full(n_fine, np.nan)
+            for name in ("tracked_loss", "oneshot_loss", "prediction_gain")
+        },
+        obs_times=np.arange(n_obs) * cfg.T_S,
+        trace_wr=np.full(n_obs, np.nan),
+        innovation_norms=np.full(n_obs, np.nan),
+    )
+
+    def healthy(x):
+        return np.all(np.isfinite(x)) and np.linalg.norm(x) < DIVERGENCE_NORM
+
+    def beams(state):
+        u, _, vh = np.linalg.svd(channel_matrix(state, tx, rx))
+        return vh[0].conj(), u[:, 0]
+
+    def loss(H, gain, f, z):
+        return np.abs(z.conj() @ H @ f) ** 2 / gain
+
+    for i in range(n_fine):
+        t = i * cfg.fine_step
+        if i > 0:
+            truth = advance_truth(truth, tp_fine, rng_truth)
+        if not healthy(truth.x):
+            rec.diverged = True
+            break
+        if i % per_obs == 0:
+            k = i // per_obs
+            if k > 0:
+                ts = predict(ts, tp_obs)
+            stats = channel_statistics(
+                sigma_points(ts.x_hat.x, ts.R, FILTER_PARAMS), channel_fn
+            )
+            n_t = cfg.first_N_T if k == 0 and cfg.first_N_T else cfg.N_T
+            n_r = cfg.first_N_R if k == 0 and cfg.first_N_R else cfg.N_R
+            design = design_beams(
+                ts, tx, rx, FILTER_PARAMS, cfg.rho, n_t, n_r, stats=stats
+            )
+            plan = build_plan(design.F, design.Z)
+            obs = observe(
+                plan, channel_fn(truth.x[None, :])[0], cfg.rho, rng_obs, time_index=k
+            )
+            rec.innovation_norms[k] = np.linalg.norm(
+                obs.y_real - plan.G_real @ stats.h_hat
+            )
+            ts = update(
+                ts, plan, obs, FILTER_PARAMS, cfg.rho, channel_fn, stats,
+                steps=UPDATE_STEPS,
+            )
+            if not healthy(ts.x_hat.x):
+                rec.diverged = True
+                break
+            rec.trace_wr[k] = np.trace(ts.R)
+            period_start = t
+            held = beams(ts.x_hat)
+            oneshot = beams(_noisy_estimate(truth, cfg, rng_oneshot))
+
+        H = channel_matrix(truth, tx, rx)
+        gain = np.linalg.norm(H, 2) ** 2
+        rec.tracked_loss[i] = loss(H, gain, *held)
+        rec.oneshot_loss[i] = loss(H, gain, *oneshot)
+        horizon = t - period_start
+        if horizon > 0.0:
+            A = build_transition(model, horizon).A
+            predicted = beams(ChannelState(cfg.L, A @ ts.x_hat.x))
+            rec.prediction_gain[i] = loss(H, gain, *predicted) / max(
+                rec.tracked_loss[i], 1e-300
+            )
+        else:
+            rec.prediction_gain[i] = 1.0
+        rec.true_tx[i] = truth.tx_positions
+        rec.est_tx[i] = ts.x_hat.tx_positions
+        rec.true_rx[i] = truth.rx_positions
+        rec.est_rx[i] = ts.x_hat.rx_positions
+    return rec
+
+
+TRAJECTORIES = ("true_tx", "est_tx", "true_rx", "est_rx", "trace_wr", "innovation_norms")
+METRICS = ("tracked_loss", "oneshot_loss", "prediction_gain")
 
 
 class TestScenarioConfig:
@@ -204,6 +329,50 @@ class TestRunFrame:
         rec = run_frame(cfg, 0)
         assert rec.diverged
         assert np.any(np.isnan(rec.tracked_loss))
+
+
+class TestRunFrameMatchesPerStepLoop:
+    """run_frame's per-period array work against the scalar per-step loop."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            # 400 fine steps per period: several metric blocks per period
+            {"fine_step": 2.5e-7, "frame_length": 2e-4},
+            # more paths than antennas: the channel core has rank min(M, L)
+            {"L": 4, "M_T": 2, "M_R": 2, "frame_length": 3e-4},
+        ],
+        ids=["small", "long-period", "L-above-M"],
+    )
+    def test_metrics_and_trajectories(self, overrides):
+        cfg = small_config(**overrides)
+        batched, scalar = run_frame(cfg, 0), per_step_reference(cfg, 0)
+        assert not batched.diverged and not scalar.diverged
+        for name in TRAJECTORIES:
+            np.testing.assert_array_equal(getattr(batched, name), getattr(scalar, name))
+        for name in METRICS:
+            np.testing.assert_allclose(
+                getattr(batched, name), getattr(scalar, name), rtol=1e-12, atol=0.0
+            )
+
+    def test_divergence_mid_period_stops_at_same_step(self):
+        # velocity noise walks the truth past DIVERGENCE_NORM at fine step 15,
+        # the sixth of the second period
+        cfg = small_config(q_upsilon=(0.0, 2e17), frame_length=3e-4)
+        batched, scalar = run_frame(cfg, 0), per_step_reference(cfg, 0)
+        assert batched.diverged and scalar.diverged
+        stop = int(np.argmax(np.isnan(scalar.true_tx[:, 0])))
+        assert stop == 15
+        for name in TRAJECTORIES + METRICS:
+            a, b = getattr(batched, name), getattr(scalar, name)
+            np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+        for name in TRAJECTORIES:
+            np.testing.assert_array_equal(getattr(batched, name), getattr(scalar, name))
+        for name in METRICS:
+            np.testing.assert_allclose(
+                getattr(batched, name), getattr(scalar, name), rtol=1e-12, atol=0.0
+            )
 
 
 class TestRunMany:

@@ -17,7 +17,7 @@ is still unknown: the gain estimate decays towards zero and the position
 drifts with the wrong velocity.  The README gives the batch-level numbers
 and how they move with the seed.
 
-Runtime: 15-18 s at 8 runs on two CPUs.  The `beamtrack simulate` CLI
+Runtime: 12-15 s at 8 runs on two CPUs.  The `beamtrack simulate` CLI
 writes the same metrics for any run count to CSV/JSON for external plotting.
 """
 

@@ -11,6 +11,13 @@ fit, so the beams are set by the model rather than by the arithmetic.  A
 deterministic DFT grid fills beam slots that no signal direction reaches,
 acts as the fallback whenever the statistics carry no usable information,
 and serves as the non-adaptive control arm.
+
+The pencil is solved in the sigma-point subspace.  The channel covariance
+comes factored as Pi = F Omega F^T; from sigma statistics F = D^T holds the
+2n+1 sigma deviations and Omega = diag(w_cov).  So B = Pi + I/(2 rho) is a
+multiple of the identity plus a term of rank at most 2n+1, and B^-1 U
+needs one reduced QR of F and a (2n+1)-sized solve instead of a Cholesky
+factorization in channel space.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .channel import ArrayGeometry
 from .errors import (
@@ -41,23 +47,31 @@ class BeamDesignInput:
 
     Attributes:
         R_xh: State-to-channel cross-covariance, 6L x 2*M_R*M_T.
-        Pi_hat: Channel covariance from the sigma transform, symmetric PSD.
+        Pi_hat: Channel covariance from the sigma transform, either dense
+            (m x m, symmetric) or as a pair (F, Omega) with Pi_hat =
+            F Omega F^T, F of shape m x k and Omega k x k symmetric.
         W: Per-state-component weights (diagonal entries), strictly positive.
         rho: Linear SNR of the upcoming sounding.
         num_tx_beams: Transmit beam count N_T.
         num_rx_beams: Receive beam count N_R.
+        Pi_factors: The pair (F, Omega); a dense Pi_hat is (I, Pi_hat).
     """
 
     R_xh: np.ndarray
-    Pi_hat: np.ndarray
+    Pi_hat: np.ndarray | tuple[np.ndarray, np.ndarray]
     W: np.ndarray
     rho: float
     num_tx_beams: int
     num_rx_beams: int
+    Pi_factors: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         R_xh = np.asarray(self.R_xh, dtype=float)
-        Pi = np.asarray(self.Pi_hat, dtype=float)
+        dense = not isinstance(self.Pi_hat, tuple)
+        if dense:
+            F, Omega = np.eye(R_xh.shape[1]), np.asarray(self.Pi_hat, dtype=float)
+        else:
+            F, Omega = (np.asarray(a, dtype=float) for a in self.Pi_hat)
         W = np.asarray(self.W, dtype=float)
         if W.ndim == 2:
             if np.count_nonzero(W - np.diag(np.diagonal(W))):
@@ -69,16 +83,22 @@ class BeamDesignInput:
             )
         if np.any(W <= 0.0):
             raise BadConfig("weights must be strictly positive")
-        if Pi.shape != (R_xh.shape[1], R_xh.shape[1]):
+        if F.ndim != 2 or F.shape[0] != R_xh.shape[1]:
             raise DimensionMismatch(
-                f"Pi_hat shape {Pi.shape} does not match R_xh width {R_xh.shape[1]}"
+                f"Pi_hat factor shape {F.shape} does not match R_xh width {R_xh.shape[1]}"
+            )
+        if Omega.shape != (F.shape[1], F.shape[1]):
+            raise DimensionMismatch(
+                f"Pi_hat core shape {Omega.shape} does not match factor shape {F.shape}"
             )
         if self.rho <= 0.0:
             raise NonpositiveSnr(f"snr must be positive, got {self.rho}")
         if self.num_tx_beams < 1 or self.num_rx_beams < 1:
             raise BadBeamCount("need at least one beam per side")
         object.__setattr__(self, "R_xh", R_xh)
-        object.__setattr__(self, "Pi_hat", Pi)
+        if dense:
+            object.__setattr__(self, "Pi_hat", Omega)
+        object.__setattr__(self, "Pi_factors", (F, Omega))
         object.__setattr__(self, "W", W)
 
 
@@ -104,20 +124,33 @@ def unconstrained_optimal_directions(
 
     A = U U^T with U = R_xh^T W^-1/2 has rank at most the state dimension n,
     so every nonzero eigenpair comes from the n x n matrix
-    U^T B^-1 U = Q diag(lam) Q^T as v = B^-1 U q; one Cholesky solve replaces
-    a dense eigenproblem in channel space.  Requested slots beyond n are zero
-    columns with eigenvalue zero.  Each column's sign is fixed so that its
-    largest-magnitude entry is positive.
+    U^T B^-1 U = Q diag(lam) Q^T as v = B^-1 U q.  Requested slots beyond n
+    are zero columns with eigenvalue zero.  Each column's sign is fixed so
+    that its largest-magnitude entry is positive.
+
+    B^-1 U comes from the factors Pi_hat = F Omega F^T.  With the reduced QR
+    F = Q_f R_f, c = 1/(2 rho) and the k x k core M = R_f Omega R_f^T + c I,
+
+        B^-1 U = (U - Q_f Q_f^T U) / c + Q_f M^-1 Q_f^T U,
+
+    exactly, for any U.  B is positive definite exactly when M is, which a
+    Cholesky factorization of M checks.  For sigma statistics k is 2n+1; a
+    dense Pi_hat is the case F = I, k = m.
     """
     n_dirs = inp.num_tx_beams * inp.num_rx_beams
     U = inp.R_xh.T / np.sqrt(inp.W)
     m = U.shape[0]
-    B = inp.Pi_hat + np.eye(m) / (2.0 * inp.rho)
+    F, Omega = inp.Pi_factors
+    c = 1.0 / (2.0 * inp.rho)
+    Q_f, R_f = np.linalg.qr(F)
+    M = R_f @ Omega @ R_f.T
+    M = (M + M.T) / 2.0 + c * np.eye(M.shape[0])
     try:
-        factor = cho_factor(B)
+        np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise SingularB("Pi_hat + I/(2 rho) is not positive definite") from None
-    BiU = cho_solve(factor, U)
+    QtU = Q_f.T @ U
+    BiU = (U - Q_f @ QtU) / c + Q_f @ np.linalg.solve(M, QtU)
     C = U.T @ BiU
     w, Q = np.linalg.eigh((C + C.T) / 2.0)
     keep = min(n_dirs, w.shape[0])
@@ -333,7 +366,7 @@ def design_beams(
         return _fallback(dims)
     inp = BeamDesignInput(
         R_xh=stats.R_xh,
-        Pi_hat=stats.Pi,
+        Pi_hat=(stats.D.T, np.diag(stats.w_cov)),
         W=W,
         rho=rho,
         num_tx_beams=num_tx_beams,

@@ -169,9 +169,7 @@ def channel_matrix(state: ChannelState, tx: ArrayGeometry, rx: ArrayGeometry) ->
 
 def real_channel_vector(state: ChannelState, tx: ArrayGeometry, rx: ArrayGeometry) -> np.ndarray:
     """Stacked real channel ``[Re vec(H); Im vec(H)]`` (column-major vec)."""
-    H = channel_matrix(state, tx, rx)
-    hv = H.reshape(-1, order="F")
-    return np.concatenate([hv.real, hv.imag])
+    return real_channel_vectors(state.x[None, :], state.L, tx, rx)[0]
 
 
 def real_channel_vectors(

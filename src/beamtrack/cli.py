@@ -176,11 +176,20 @@ def load_cli_config(config_path: str | None, overrides=()) -> CliConfig:
 
 # --- result emission ------------------------------------------------------
 
+def _format_table(data: np.ndarray, fmt: list) -> str:
+    """The text ``np.savetxt(fh, data, fmt=fmt, delimiter=",")`` writes.
+
+    One %-format over the whole table instead of one per row.
+    """
+    row = ",".join(fmt) + "\n"
+    return (row * data.shape[0]) % tuple(data.ravel().tolist())
+
+
 def _write_csv(path: str, columns: list, data: np.ndarray, fmt: list) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_SCHEMA + "\n")
         fh.write(",".join(columns) + "\n")
-        np.savetxt(fh, data, fmt=fmt, delimiter=",")
+        fh.write(_format_table(data, fmt))
 
 
 def _paths_table(records: list) -> np.ndarray:

@@ -12,7 +12,6 @@ Conventions fixed here and relied on everywhere else:
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -155,13 +154,13 @@ def generalized_eig_sym(
     if diag.min() ** 2 <= 1e-12 * max(1.0, diag.max() ** 2):
         raise SingularB("B is numerically singular")
     # C = L^-1 A L^-T, kept explicitly symmetric.
-    C = scipy.linalg.solve_triangular(L, A, lower=True)
-    C = scipy.linalg.solve_triangular(L, C.T, lower=True)
+    C = np.linalg.solve(L, A)
+    C = np.linalg.solve(L, C.T)
     C = 0.5 * (C + C.T)
     w, U = np.linalg.eigh(C)
     order = np.argsort(w)[::-1][:n_top]
     w = w[order]
-    V = scipy.linalg.solve_triangular(L.T, U[:, order], lower=False)
+    V = np.linalg.solve(L.T, U[:, order])
     V = V / np.linalg.norm(V, axis=0)
     return w, V
 

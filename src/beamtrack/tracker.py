@@ -10,6 +10,15 @@ required.
 Sigma statistics are exposed separately (``channel_statistics``) because beam
 design consumes the same prior channel moments the update does; computing them
 once per step avoids a second transform.
+
+The channel covariance is kept factored.  With 2n+1 sigma points and their
+deviations ``D`` from the mean channel (one row per point), the covariance is
+``Pi = D^T diag(w_cov) D``: rank at most 2n+1 in a channel space of
+2*M_R*M_T real dimensions.  The update needs only ``G Pi G^T``, which is
+``(D G^T)^T diag(w_cov) (D G^T)``, and beam design solves its pencil in the
+span of ``D^T`` (see ``beams``), so the dense covariance is never formed on
+the run path; ``ChannelStats.Pi`` builds it on demand for other callers.
+All linear algebra here is numpy's, so one BLAS library serves the loop.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .channel import ArrayGeometry, ChannelState, channel_matrix, real_channel_vectors
 from .dynamics import DynamicsModel, TransitionPair, advance_covariance, predicted_mean
@@ -74,13 +82,22 @@ class ChannelStats:
 
     Attributes:
         h_hat: Weighted mean of the transformed points.
-        Pi: Weighted covariance of the transformed points (symmetric).
+        D: Deviations of the transformed points from h_hat, one row per
+            sigma point; the covariance is ``D^T diag(w_cov) D``.
+        w_cov: Covariance weights of the sigma points.
         R_xh: Cross-covariance between state and transformed points.
     """
 
     h_hat: np.ndarray
-    Pi: np.ndarray
+    D: np.ndarray
+    w_cov: np.ndarray
     R_xh: np.ndarray
+
+    @property
+    def Pi(self) -> np.ndarray:
+        """Weighted covariance of the transformed points, formed densely."""
+        Pi = (self.D * self.w_cov[:, None]).T @ self.D
+        return (Pi + Pi.T) / 2.0
 
 
 def sigma_points(x_hat: np.ndarray, R: np.ndarray, params: UkfParams) -> SigmaSet:
@@ -136,17 +153,30 @@ def channel_statistics(sigma: SigmaSet, channel_fn) -> ChannelStats:
         )
     h_hat = sigma.w_mean @ zeta
     dz = zeta - h_hat
-    Pi = (dz * sigma.w_cov[:, None]).T @ dz
     dx = sigma.points - sigma.points[0]
     R_xh = (dx * sigma.w_cov[:, None]).T @ dz
-    return ChannelStats(h_hat=h_hat, Pi=(Pi + Pi.T) / 2.0, R_xh=R_xh)
+    return ChannelStats(h_hat=h_hat, D=dz, w_cov=sigma.w_cov, R_xh=R_xh)
+
+
+def observation_statistics(stats: ChannelStats, G: np.ndarray) -> ChannelStats:
+    """Sigma moments of the observation ``G h`` from those of the channel h.
+
+    The predicted measurement is ``G h_hat`` and the cross-covariance
+    ``R_xh G^T``.  The deviations map to ``D G^T``, so the measurement
+    covariance ``G Pi G^T`` stays factored as
+    ``(D G^T)^T diag(w_cov) (D G^T)``: (2n+1) x rows(G) work instead of
+    channel-space products.
+    """
+    return ChannelStats(
+        h_hat=G @ stats.h_hat, D=stats.D @ G.T, w_cov=stats.w_cov, R_xh=stats.R_xh @ G.T
+    )
 
 
 def _condition_covariance(R: np.ndarray) -> np.ndarray:
     """Symmetrizes and clamps tiny negative eigenvalues; errors if indefinite."""
     R = (R + R.T) / 2.0
     try:
-        np.linalg.cholesky(R + np.eye(R.shape[0]) * 0.0)
+        np.linalg.cholesky(R)
         return R
     except np.linalg.LinAlgError:
         pass
@@ -197,9 +227,13 @@ def update(
     later step doubles the information and relinearizes closer in.  Equal
     fractions do not do this: 1/N of one sounding already shrinks a prior
     position spread of several beamwidths to a fraction of one, and the
-    remaining steps can no longer move the estimate.  Steps after the first
-    work in the observation space (the channel map composed with the
-    sounding operator), so no channel-space covariance is formed for them.
+    remaining steps can no longer move the estimate.  Every step works in
+    the observation space (the channel map composed with the sounding
+    operator): the first maps the prior's sigma deviations by G, the later
+    ones push fresh sigma points through that composed map, so no
+    channel-space covariance is formed.  Each step checks the innovation
+    covariance S by a Cholesky factorization, then solves S once for both
+    the innovation and the cross-covariance.
 
     Args:
         prior: Predicted state before seeing the measurement.
@@ -241,30 +275,32 @@ def update(
     def observed_fn(X):
         return channel_fn(X) @ G.T
 
-    # Moments of the observation-space map: predicted measurement,
-    # its covariance, and the state-to-measurement cross-covariance.
-    y_hat, S0, T = G @ stats.h_hat, G @ stats.Pi @ G.T, G @ stats.R_xh.T
+    obs_stats = observation_statistics(stats, G)
     x, R = prior.x_hat.x, prior.R
     fractions = 2.0 ** np.arange(steps) / (2.0**steps - 1.0)
     for step, fraction in enumerate(fractions):
         if step > 0:
             obs_stats = channel_statistics(sigma_points(x, R, params), observed_fn)
-            y_hat, S0, T = obs_stats.h_hat, obs_stats.Pi, obs_stats.R_xh.T
+        T = obs_stats.R_xh.T
         noise = np.eye(G.shape[0]) / (2.0 * rho * fraction)
-        factor = _factor_innovation(S0 + noise)
-        x = x + T.T @ cho_solve(factor, y.y_real - y_hat)
-        R = _condition_covariance(R - T.T @ cho_solve(factor, T))
+        S = _checked_innovation(obs_stats.Pi + noise)
+        solved = np.linalg.solve(S, np.column_stack([y.y_real - obs_stats.h_hat, T]))
+        x = x + T.T @ solved[:, 0]
+        R = _condition_covariance(R - T.T @ solved[:, 1:])
     return TrackerState(x_hat=ChannelState(prior.x_hat.L, x), R=R, k=prior.k)
 
 
-def _factor_innovation(S: np.ndarray):
-    """Cholesky factor of an innovation covariance, lightly regularized if needed."""
+def _checked_innovation(S: np.ndarray) -> np.ndarray:
+    """Symmetrized innovation covariance, lightly regularized if its Cholesky fails."""
     S = (S + S.T) / 2.0
     try:
-        return cho_factor(S)
+        np.linalg.cholesky(S)
+        return S
     except np.linalg.LinAlgError:
+        S = S + 1e-12 * np.eye(S.shape[0])
         try:
-            return cho_factor(S + 1e-12 * np.eye(S.shape[0]))
+            np.linalg.cholesky(S)
+            return S
         except np.linalg.LinAlgError as exc:
             raise SingularInnovation(
                 "innovation covariance is singular even after regularization"

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: parsing, emission, exit codes."""
 
+import io
 import json
 import os
 
@@ -8,6 +9,7 @@ import pytest
 
 from beamtrack.cli import (
     CliConfig,
+    _format_table,
     build_cli_config,
     cmd_selftest,
     cmd_simulate,
@@ -214,6 +216,30 @@ class TestSimulateCommand:
     def test_main_dispatch(self, tmp_path):
         argv = ["simulate"] + [f"--set={kv}" for kv in small_overrides(tmp_path)]
         assert main(argv) == 0
+
+
+class TestFormatTable:
+    def test_bytes_equal_savetxt(self):
+        rng = np.random.default_rng(5)
+        n = 50
+        data = np.column_stack(
+            [
+                np.repeat([0, 1], n // 2),
+                np.arange(n) * 1e-5,
+                np.tile(np.arange(5), n // 5),
+                rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3)),
+            ]
+        )
+        data[3, 3:] = np.nan  # a diverged run's rows
+        data[4, 3] = -np.inf
+        data[5, 4] = -0.0
+        fmt = ["%d", "%.10e", "%d", "%.10e", "%.10e", "%.10e"]
+        want = io.StringIO()
+        np.savetxt(want, data, fmt=fmt, delimiter=",")
+        assert _format_table(data, fmt) == want.getvalue()
+
+    def test_empty_table(self):
+        assert _format_table(np.zeros((0, 2)), ["%d", "%.10e"]) == ""
 
 
 class TestSelftestCommand:

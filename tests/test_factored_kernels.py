@@ -1,0 +1,180 @@
+"""Factored sigma-subspace kernels against the dense channel-space maths.
+
+Beam design solves its pencil through the factors Pi = F Omega F^T and the
+update works with the mapped sigma deviations D G^T.  Each test here writes
+the dense reference (a Cholesky factorization of the m x m matrix
+Pi + I/(2 rho), or G Pi G^T and an explicit inverse) and requires the
+factored kernels to agree with it.
+"""
+
+import numpy as np
+import pytest
+
+from beamtrack.beams import (
+    BeamDesignInput,
+    design_beams,
+    signal_rank,
+    unconstrained_optimal_directions,
+)
+from beamtrack.channel import ArrayGeometry
+from beamtrack.errors import SingularB, SingularInnovation
+from beamtrack.simulate import FILTER_PARAMS, ScenarioConfig, generate_scenario
+from beamtrack.sounding import build_plan, observe
+from beamtrack.tracker import (
+    ChannelStats,
+    TrackerState,
+    UkfParams,
+    channel_statistics,
+    make_channel_fn,
+    observation_statistics,
+    sigma_points,
+    update,
+)
+
+
+def dense_directions(R_xh, Pi, W, rho, n_dirs):
+    """Top pencil directions from a Cholesky factorization of the dense B."""
+    U = R_xh.T / np.sqrt(W)
+    B = Pi + np.eye(Pi.shape[0]) / (2.0 * rho)
+    L = np.linalg.cholesky(B)
+    BiU = np.linalg.solve(L.T, np.linalg.solve(L, U))
+    w, Q = np.linalg.eigh(U.T @ BiU)
+    order = np.argsort(w)[::-1][:n_dirs]
+    V = BiU @ Q[:, order]
+    V = V / np.linalg.norm(V, axis=0)
+    peak = np.abs(V).argmax(axis=0)
+    return V * np.where(V[peak, np.arange(V.shape[1])] < 0.0, -1.0, 1.0), w[order]
+
+
+def reference_stats(run_index):
+    """Prior sigma statistics of the reference scenario's first sounding."""
+    cfg = ScenarioConfig()
+    tx, rx = ArrayGeometry(cfg.M_T), ArrayGeometry(cfg.M_R)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, run_index]).spawn(4)[0])
+    _, estimate, R0 = generate_scenario(cfg, rng)
+    sigma = sigma_points(estimate.x, R0, FILTER_PARAMS)
+    return cfg, channel_statistics(sigma, make_channel_fn(cfg.L, tx, rx))
+
+
+def assert_directions_match(inp, Pi, n_dirs):
+    V, eigvals = unconstrained_optimal_directions(inp)
+    V_ref, w_ref = dense_directions(inp.R_xh, Pi, inp.W, inp.rho, n_dirs)
+    k = w_ref.size
+    np.testing.assert_allclose(eigvals[:k], w_ref, rtol=0.0, atol=1e-9 * w_ref[0])
+    # Only the signal directions are fixed by the model; the rest are
+    # round-off (see signal_rank).
+    rank = signal_rank(w_ref)
+    assert rank >= 2
+    np.testing.assert_allclose(V[:, :rank], V_ref[:, :rank], rtol=0.0, atol=1e-8)
+
+
+class TestFactoredPencil:
+    @pytest.mark.parametrize("run_index", [0, 1, 2])
+    def test_matches_dense_solve_on_sigma_statistics(self, run_index):
+        cfg, stats = reference_stats(run_index)
+        assert stats.D.shape == (2 * 6 * cfg.L + 1, 512)
+        inp = BeamDesignInput(
+            R_xh=stats.R_xh,
+            Pi_hat=(stats.D.T, np.diag(stats.w_cov)),
+            W=np.ones(stats.R_xh.shape[0]),
+            rho=cfg.rho,
+            num_tx_beams=cfg.N_T,
+            num_rx_beams=cfg.N_R,
+        )
+        assert_directions_match(inp, stats.Pi, cfg.N_T * cfg.N_R)
+
+    def test_matches_dense_solve_outside_the_sigma_span(self):
+        # A generic cross-covariance puts U outside range(F), so the
+        # (U - Q Q^T U) / c term carries most of B^-1 U.
+        cfg, stats = reference_stats(0)
+        rng = np.random.default_rng(100)
+        R_xh = rng.standard_normal(stats.R_xh.shape)
+        F = stats.D.T
+        Q, _ = np.linalg.qr(F)
+        U = R_xh.T
+        assert np.linalg.norm(U - Q @ (Q.T @ U)) > 0.9 * np.linalg.norm(U)
+        W = rng.uniform(0.5, 2.0, R_xh.shape[0])
+        inp = BeamDesignInput(
+            R_xh=R_xh, Pi_hat=(F, np.diag(stats.w_cov)), W=W, rho=cfg.rho,
+            num_tx_beams=cfg.N_T, num_rx_beams=cfg.N_R,
+        )
+        assert_directions_match(inp, stats.Pi, cfg.N_T * cfg.N_R)
+
+    def test_dense_input_is_the_identity_factor(self):
+        cfg, stats = reference_stats(0)
+        common = dict(R_xh=stats.R_xh, W=np.ones(stats.R_xh.shape[0]), rho=cfg.rho,
+                      num_tx_beams=cfg.N_T, num_rx_beams=cfg.N_R)
+        dense = BeamDesignInput(Pi_hat=stats.Pi, **common)
+        factored = BeamDesignInput(Pi_hat=(stats.D.T, np.diag(stats.w_cov)), **common)
+        np.testing.assert_array_equal(dense.Pi_factors[0], np.eye(512))
+        _, w_d = unconstrained_optimal_directions(dense)
+        _, w_f = unconstrained_optimal_directions(factored)
+        np.testing.assert_allclose(w_f, w_d, rtol=1e-9, atol=1e-9 * w_d[0])
+
+    def test_indefinite_core_raises_singular_b(self):
+        rng = np.random.default_rng(101)
+        m, k = 64, 9
+        F = rng.standard_normal((m, k))
+        Omega = np.diag(np.r_[-10.0, np.ones(k - 1)])
+        inp = BeamDesignInput(
+            R_xh=rng.standard_normal((6, m)), Pi_hat=(F, Omega), W=np.ones(6),
+            rho=10.0, num_tx_beams=2, num_rx_beams=2,
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(F @ Omega @ F.T + np.eye(m) / 20.0)
+        with pytest.raises(SingularB):
+            unconstrained_optimal_directions(inp)
+
+
+def small_problem(seed):
+    """A two-path 8x8 prior, its statistics, a designed plan and a measurement."""
+    rng = np.random.default_rng(seed)
+    cfg = ScenarioConfig(L=2, M_T=8, M_R=8, N_T=3, N_R=3)
+    tx, rx = ArrayGeometry(cfg.M_T), ArrayGeometry(cfg.M_R)
+    truth, estimate, R0 = generate_scenario(cfg, rng)
+    fn = make_channel_fn(cfg.L, tx, rx)
+    params = UkfParams(eta=1.0)  # nonnegative weights: a PSD joint covariance
+    prior = TrackerState(estimate, R0)
+    stats = channel_statistics(sigma_points(estimate.x, R0, params), fn)
+    design = design_beams(prior, tx, rx, params, cfg.rho, cfg.N_T, cfg.N_R, stats=stats)
+    plan = build_plan(design.F, design.Z)
+    obs = observe(plan, fn(truth.x[None, :])[0], cfg.rho, rng)
+    return prior, stats, plan, obs, params, cfg.rho
+
+
+class TestFactoredUpdate:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_first_step_covariance_equals_dense_product(self, seed):
+        _, stats, plan, _, _, _ = small_problem(seed)
+        G = plan.G_real
+        obs_stats = observation_statistics(stats, G)
+        S0 = G @ stats.Pi @ G.T
+        scale = np.linalg.norm(S0)
+        assert np.linalg.norm(obs_stats.Pi - S0) <= 1e-12 * scale
+        np.testing.assert_array_equal(obs_stats.h_hat, G @ stats.h_hat)
+        np.testing.assert_array_equal(obs_stats.R_xh, stats.R_xh @ G.T)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_update_equals_explicit_gain(self, seed):
+        prior, stats, plan, obs, params, rho = small_problem(seed)
+        G = plan.G_real
+        T = G @ stats.R_xh.T
+        S = G @ stats.Pi @ G.T + np.eye(G.shape[0]) / (2.0 * rho)
+        S_inv = np.linalg.inv((S + S.T) / 2.0)
+        dx = T.T @ S_inv @ (obs.y_real - G @ stats.h_hat)
+        dR = T.T @ S_inv @ T
+        post = update(prior, plan, obs, params, rho, stats=stats)
+        # The increments themselves agree, not only the posterior moments.
+        got_dx = post.x_hat.x - prior.x_hat.x
+        got_dR = prior.R - post.R
+        assert np.linalg.norm(got_dx - dx) <= 1e-12 * np.linalg.norm(dx)
+        assert np.linalg.norm(got_dR - (dR + dR.T) / 2.0) <= 1e-12 * np.linalg.norm(dR)
+
+    def test_indefinite_innovation_raises(self):
+        # Negative weights make G Pi G^T strongly indefinite; the light
+        # regularization cannot rescue it.
+        prior, stats, plan, obs, params, rho = small_problem(0)
+        bad = ChannelStats(h_hat=stats.h_hat, D=stats.D, w_cov=-np.abs(stats.w_cov),
+                           R_xh=stats.R_xh)
+        with pytest.raises(SingularInnovation):
+            update(prior, plan, obs, params, rho, stats=bad)

@@ -46,7 +46,6 @@ from .dynamics import (
     DynamicsModel,
     TransitionPair,
     advance_covariance,
-    advance_mean,
     advance_truth,
     build_transition,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "TransitionPair",
     "UkfParams",
     "advance_covariance",
-    "advance_mean",
     "advance_truth",
     "aggregate_runs",
     "angle_to_virtual",

@@ -114,12 +114,6 @@ def advance_truth(
     return ChannelState(x.L, tp.A @ x.x + u)
 
 
-def advance_mean(x_hat: ChannelState, tp: TransitionPair) -> ChannelState:
-    """Advances a state estimate deterministically (no process noise)."""
-    _check_state(x_hat, tp)
-    return ChannelState(x_hat.L, tp.A @ x_hat.x)
-
-
 def predicted_mean(model: DynamicsModel, x: np.ndarray, horizon) -> np.ndarray:
     """Noise-free state ``horizon`` seconds after x, in closed form.
 

@@ -69,7 +69,7 @@ class BadScaling(BeamtrackError):
 
 
 class SingularInnovation(BeamtrackError):
-    """The innovation covariance is singular even after regularization."""
+    """The innovation covariance is not positive definite."""
 
 
 # --- beam design ---

@@ -19,6 +19,8 @@ deviations ``D`` from the mean channel (one row per point), the covariance is
 span of ``D^T`` (see ``beams``), so the dense covariance is never formed on
 the run path; ``ChannelStats.Pi`` builds it on demand for other callers.
 All linear algebra here is numpy's, so one BLAS library serves the loop.
+Each partial step of the update factors its posterior once: the Cholesky
+factor of ``(n + lambda) R`` checks it and roots the next step's sigma points.
 """
 
 from __future__ import annotations
@@ -112,16 +114,27 @@ def sigma_points(x_hat: np.ndarray, R: np.ndarray, params: UkfParams) -> SigmaSe
         SigmaSet of 2n+1 points whose weighted moments reproduce (x_hat, R).
     """
     x_hat = np.asarray(x_hat, dtype=float)
-    n = x_hat.shape[0]
-    lam = params.lam(n)
-    scale = n + lam
-    if scale <= 0.0:
-        raise BadScaling(f"need dim + lambda > 0, got {scale}")
+    scale = _sigma_scale(x_hat.shape[0], params)
     try:
         root = matrix_sqrt_psd(scale * np.asarray(R, dtype=float))
     except IndefiniteMatrix as exc:
         raise IndefiniteCovariance(str(exc)) from exc
+    return _sigma_set(x_hat, root, params)
 
+
+def _sigma_scale(n: int, params: UkfParams) -> float:
+    """The factor n + lambda by which the sigma root scales the covariance."""
+    scale = n + params.lam(n)
+    if scale <= 0.0:
+        raise BadScaling(f"need dim + lambda > 0, got {scale}")
+    return scale
+
+
+def _sigma_set(x_hat: np.ndarray, root: np.ndarray, params: UkfParams) -> SigmaSet:
+    """Sigma points ``x_hat`` +/- the columns of ``root``, a root of (n + lambda) R."""
+    n = x_hat.shape[0]
+    lam = params.lam(n)
+    scale = n + lam
     points = np.empty((2 * n + 1, n))
     points[0] = x_hat
     points[1 : n + 1] = x_hat + root.T
@@ -172,12 +185,15 @@ def observation_statistics(stats: ChannelStats, G: np.ndarray) -> ChannelStats:
     )
 
 
-def _condition_covariance(R: np.ndarray) -> np.ndarray:
-    """Symmetrizes and clamps tiny negative eigenvalues; errors if indefinite."""
+def _condition_covariance(R: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized posterior and a root of ``scale * R``; errors if indefinite.
+
+    One Cholesky factorization is both the check and the root; a merely
+    semidefinite R is clamped and rooted as ``sigma_points`` would root it.
+    """
     R = (R + R.T) / 2.0
     try:
-        np.linalg.cholesky(R)
-        return R
+        return R, np.linalg.cholesky(scale * R)
     except np.linalg.LinAlgError:
         pass
     w, V = np.linalg.eigh(R)
@@ -187,7 +203,8 @@ def _condition_covariance(R: np.ndarray) -> np.ndarray:
             f"posterior covariance has eigenvalue {w[0]:.3e} below -{tol:.1e}"
         )
     w = np.where(w < 0.0, 1e-12, w)
-    return (V * w) @ V.T
+    R = (V * w) @ V.T
+    return R, matrix_sqrt_psd(scale * R)
 
 
 def predict(ts: TrackerState, tp: TransitionPair) -> TrackerState:
@@ -232,8 +249,10 @@ def update(
     operator): the first maps the prior's sigma deviations by G, the later
     ones push fresh sigma points through that composed map, so no
     channel-space covariance is formed.  Each step checks the innovation
-    covariance S by a Cholesky factorization, then solves S once for both
-    the innovation and the cross-covariance.
+    covariance S by a Cholesky factorization, without a regularized retry
+    (S holds at least the noise variance on its diagonal), then solves S
+    once for both the innovation and the cross-covariance.  The posterior is
+    factored once per step; that factor roots the next step's sigma points.
 
     Args:
         prior: Predicted state before seeing the measurement.
@@ -277,34 +296,24 @@ def update(
 
     obs_stats = observation_statistics(stats, G)
     x, R = prior.x_hat.x, prior.R
+    scale = _sigma_scale(x.shape[0], params)
     fractions = 2.0 ** np.arange(steps) / (2.0**steps - 1.0)
     for step, fraction in enumerate(fractions):
         if step > 0:
-            obs_stats = channel_statistics(sigma_points(x, R, params), observed_fn)
+            obs_stats = channel_statistics(_sigma_set(x, root, params), observed_fn)
         T = obs_stats.R_xh.T
-        noise = np.eye(G.shape[0]) / (2.0 * rho * fraction)
-        S = _checked_innovation(obs_stats.Pi + noise)
-        solved = np.linalg.solve(S, np.column_stack([y.y_real - obs_stats.h_hat, T]))
-        x = x + T.T @ solved[:, 0]
-        R = _condition_covariance(R - T.T @ solved[:, 1:])
-    return TrackerState(x_hat=ChannelState(prior.x_hat.L, x), R=R, k=prior.k)
-
-
-def _checked_innovation(S: np.ndarray) -> np.ndarray:
-    """Symmetrized innovation covariance, lightly regularized if its Cholesky fails."""
-    S = (S + S.T) / 2.0
-    try:
-        np.linalg.cholesky(S)
-        return S
-    except np.linalg.LinAlgError:
-        S = S + 1e-12 * np.eye(S.shape[0])
+        # Pi is exactly symmetric and the noise diagonal, so S is too.
+        S = obs_stats.Pi + np.eye(G.shape[0]) / (2.0 * rho * fraction)
         try:
             np.linalg.cholesky(S)
-            return S
         except np.linalg.LinAlgError as exc:
             raise SingularInnovation(
-                "innovation covariance is singular even after regularization"
+                "innovation covariance is not positive definite"
             ) from exc
+        solved = np.linalg.solve(S, np.column_stack([y.y_real - obs_stats.h_hat, T]))
+        x = x + T.T @ solved[:, 0]
+        R, root = _condition_covariance(R - T.T @ solved[:, 1:], scale)
+    return TrackerState(x_hat=ChannelState(prior.x_hat.L, x), R=R, k=prior.k)
 
 
 def forward_predict_channel(

@@ -11,19 +11,23 @@ import time
 import numpy as np
 import pytest
 
-from beamtrack.beams import baseline_beams, design_beams, kronecker_beams
+from beamtrack.beams import baseline_beams, design_beams
 from beamtrack.channel import ArrayGeometry, ChannelState
-from beamtrack.cli import cmd_simulate
+from beamtrack.cli import (
+    check_kronecker_recovery,
+    check_sigma_moments,
+    check_ukf_matches_kf,
+    cmd_simulate,
+)
 from beamtrack.dynamics import DynamicsModel, advance_truth, build_transition
-from beamtrack.numerics import KroneckerFactorDims, generalized_eig_sym
+from beamtrack.numerics import generalized_eig_sym
 from beamtrack.simulate import ScenarioConfig, generate_scenario, run_many
-from beamtrack.sounding import Observation, build_plan, observe
+from beamtrack.sounding import build_plan, observe
 from beamtrack.tracker import (
     TrackerState,
     UkfParams,
     channel_statistics,
     make_channel_fn,
-    predict,
     sigma_points,
     update,
 )
@@ -46,17 +50,6 @@ def _random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
     return A @ A.T / n
 
 
-def _unit_columns(rng: np.random.Generator, M: int, N: int) -> np.ndarray:
-    B = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
-    return B / np.linalg.norm(B, axis=0)
-
-
-def _kalman_update(x, R, H, y_vec, noise_var):
-    S = H @ R @ H.T + noise_var * np.eye(H.shape[0])
-    K = np.linalg.solve(S, H @ R).T
-    return x + K @ (y_vec - H @ x), R - K @ H @ R
-
-
 @pytest.fixture(scope="module")
 def reference_batch():
     """Twenty seeded runs of the reference experiment, shared by tests 6-8."""
@@ -71,32 +64,8 @@ def reference_batch():
 
 class TestAcceptance:
     def test_01_unscented_update_matches_kalman_on_linear_map(self):
-        rng = np.random.default_rng(101)
         start = time.perf_counter()
-        dft2 = (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)).astype(complex)
-        plan = build_plan(dft2, dft2)
-        C = rng.standard_normal((8, 6))
-        channel_fn = lambda X: X @ C.T  # noqa: E731
-        H = plan.G_real @ C
-        rho = 10.0
-        tp = build_transition(DynamicsModel(L=1, beta=0.905, T_S=1e-4), 1e-4)
-        params = UkfParams()
-
-        ts = TrackerState(ChannelState(1, np.zeros(6)), np.eye(6))
-        x_kf, R_kf = np.zeros(6), np.eye(6)
-        worst = 0.0
-        for k in range(100):
-            ts = predict(ts, tp)
-            x_kf, R_kf = tp.A @ x_kf, tp.A @ R_kf @ tp.A.T + tp.Q
-            y_vec = rng.standard_normal(8)
-            obs = Observation(y_real=y_vec, snr_rho=rho, time_index=k)
-            ts = update(ts, plan, obs, params, channel_fn=channel_fn)
-            x_kf, R_kf = _kalman_update(x_kf, R_kf, H, y_vec, 1.0 / (2.0 * rho))
-            worst = max(
-                worst,
-                float(np.max(np.abs(ts.x_hat.x - x_kf))),
-                float(np.max(np.abs(ts.R - R_kf))),
-            )
+        worst = check_ukf_matches_kf()
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-8 and elapsed < 5.0
         _report(
@@ -108,22 +77,7 @@ class TestAcceptance:
         assert ok
 
     def test_02_sigma_points_reconstruct_moments(self):
-        params = UkfParams()
-        worst = 0.0
-        for seed in range(50):
-            rng = np.random.default_rng(200 + seed)
-            n = 24
-            x = rng.standard_normal(n)
-            R = _random_psd(rng, n)
-            sigma = sigma_points(x, R, params)
-            mean = sigma.w_mean @ sigma.points
-            dev = sigma.points - mean
-            cov = (dev * sigma.w_cov[:, None]).T @ dev
-            worst = max(
-                worst,
-                float(np.max(np.abs(mean - x))),
-                float(np.max(np.abs(cov - R))),
-            )
+        worst = check_sigma_moments()
         ok = worst <= 1e-9
         _report(
             2,
@@ -159,23 +113,7 @@ class TestAcceptance:
         assert ok
 
     def test_04_kronecker_factor_recovery(self):
-        worst = 0.0
-        for seed, dims in enumerate(
-            [
-                KroneckerFactorDims(16, 4, 16, 4),
-                KroneckerFactorDims(16, 6, 16, 6),
-                KroneckerFactorDims(8, 3, 4, 2),
-            ]
-            * 5
-        ):
-            rng = np.random.default_rng(400 + seed)
-            F0 = _unit_columns(rng, dims.m1, dims.n1)
-            Z0 = _unit_columns(rng, dims.m2, dims.n2)
-            out = kronecker_beams(np.kron(F0.conj(), Z0), dims)
-            for j in range(dims.n1):
-                worst = max(worst, 1.0 - abs(out.F[:, j].conj() @ F0[:, j]))
-            for j in range(dims.n2):
-                worst = max(worst, 1.0 - abs(out.Z[:, j].conj() @ Z0[:, j]))
+        worst = check_kronecker_recovery()
         ok = worst <= 1e-9
         _report(
             4,

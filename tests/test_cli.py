@@ -213,6 +213,12 @@ class TestSimulateCommand:
         assert code == 2
         assert "diverged" in capsys.readouterr().err
 
+    def test_non_integer_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BEAMTRACK_THREADS", "two")
+        assert cmd_simulate(None, small_overrides(tmp_path)) == 2
+        expected = "runtime error: BEAMTRACK_THREADS='two' is not an integer\n"
+        assert capsys.readouterr().err == expected
+
     def test_main_dispatch(self, tmp_path):
         argv = ["simulate"] + [f"--set={kv}" for kv in small_overrides(tmp_path)]
         assert main(argv) == 0

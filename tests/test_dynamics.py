@@ -8,7 +8,6 @@ from beamtrack.dynamics import (
     DynamicsModel,
     TransitionPair,
     advance_covariance,
-    advance_mean,
     advance_truth,
     build_transition,
     predicted_mean,
@@ -67,6 +66,12 @@ class TestBuildTransition:
         with pytest.raises(BadConfig):
             DynamicsModel(L=1, beta=0.9, T_S=TS, q_upsilon=np.array([-1.0, 1.0]))
 
+    def test_two_half_steps_compose(self):
+        model = reference_model(L=2, beta=0.905)
+        half = build_transition(model, TS / 2.0)
+        full = build_transition(model, TS)
+        np.testing.assert_allclose(half.A @ half.A, full.A, rtol=1e-13)
+
 
 class TestAdvanceTruth:
     def test_noiseless_velocity_integration(self):
@@ -118,27 +123,13 @@ class TestAdvanceTruth:
         with pytest.raises(DimensionMismatch):
             advance_truth(ChannelState(1, np.zeros(6)), tp, np.random.default_rng(0))
 
-
-class TestAdvanceMean:
-    def test_identity_transition(self):
-        tp = TransitionPair(A=np.eye(6), Q=np.zeros((6, 6)), dt=TS)
-        st = ChannelState(1, np.arange(6.0))
-        np.testing.assert_array_equal(advance_mean(st, tp).x, st.x)
-
-    def test_matches_noiseless_truth(self):
+    def test_matches_noiseless_transition(self):
         model = reference_model(beta=0.8, q=(0.0, 0.0))
         full = build_transition(model, TS)
         tp = TransitionPair(A=full.A, Q=np.zeros_like(full.Q), dt=TS)
         st = ChannelState.from_parts([1.0 - 0.5j], [0.2], [3.0], [-0.1], [-4.0])
-        mean = advance_mean(st, tp)
         truth = advance_truth(st, tp, np.random.default_rng(3))
-        np.testing.assert_allclose(mean.x, truth.x, atol=1e-15)
-
-    def test_two_half_steps_compose(self):
-        model = reference_model(L=2, beta=0.905)
-        half = build_transition(model, TS / 2.0)
-        full = build_transition(model, TS)
-        np.testing.assert_allclose(half.A @ half.A, full.A, rtol=1e-13)
+        np.testing.assert_allclose(truth.x, tp.A @ st.x, atol=1e-15)
 
 
 class TestPredictedMean:

@@ -20,6 +20,7 @@ from beamtrack.tracker import (
     channel_statistics,
     forward_predict_channel,
     make_channel_fn,
+    observation_statistics,
     predict,
     sigma_points,
     update,
@@ -226,6 +227,68 @@ class TestRecursiveUpdate:
             update(prior, plan, obs, UkfParams(), stats=stats, steps=2)
         with pytest.raises(BadScaling):
             update(prior, plan, obs, UkfParams(), channel_fn=fn, steps=0)
+
+
+def stepwise_update(prior, plan, obs, params, fn, steps):
+    """The recursive update, each partial step drawing sigma points from R."""
+    G = plan.G_real
+    x, R = prior.x_hat.x, prior.R
+    for i in range(steps):
+        sigma = sigma_points(x, R, params)
+        if i == 0:
+            st = observation_statistics(channel_statistics(sigma, fn), G)
+        else:
+            st = channel_statistics(sigma, lambda X: fn(X) @ G.T)
+        T = st.R_xh.T
+        fraction = 2.0**i / (2.0**steps - 1.0)
+        S = st.Pi + np.eye(G.shape[0]) / (2.0 * obs.snr_rho * fraction)
+        solved = np.linalg.solve(S, np.column_stack([obs.y_real - st.h_hat, T]))
+        x = x + T.T @ solved[:, 0]
+        R = R - T.T @ solved[:, 1:]
+        R = (R + R.T) / 2.0
+        try:
+            np.linalg.cholesky(R)
+        except np.linalg.LinAlgError:  # semidefinite: clamp round-off negatives
+            w, V = np.linalg.eigh(R)
+            R = (V * np.where(w < 0.0, 1e-12, w)) @ V.T
+    return x, R
+
+
+class TestCarriedSigmaRoot:
+    """update carries each partial posterior's root instead of refactoring R."""
+
+    plan = build_plan(DFT2, DFT2)
+    params = UkfParams(eta=0.2)
+
+    def check_matches_stepwise(self, R):
+        fn = make_channel_fn(1, ArrayGeometry(2), ArrayGeometry(2))
+        y = np.random.default_rng(64).standard_normal(8)
+        obs = Observation(y_real=y, snr_rho=10.0, time_index=0)
+        prior = TrackerState(ChannelState(1, np.linspace(-0.3, 1.0, 6)), R)
+        post = update(prior, self.plan, obs, self.params, channel_fn=fn, steps=3)
+        x_ref, R_ref = stepwise_update(prior, self.plan, obs, self.params, fn, 3)
+        np.testing.assert_array_equal(post.x_hat.x, x_ref)
+        np.testing.assert_array_equal(post.R, R_ref)
+
+    def test_definite_prior_matches_stepwise_sigma_points(self):
+        self.check_matches_stepwise(random_psd(np.random.default_rng(65), 6, 0.1))
+
+    def test_zero_variance_block_matches_stepwise_sigma_points(self):
+        R = np.zeros((6, 6))
+        R[:3, :3] = random_psd(np.random.default_rng(66), 3, 0.1)
+        self.check_matches_stepwise(R)
+
+    def test_indefinite_partial_posterior_raises(self):
+        # Stats of a far wider prior: the first step removes more than R holds.
+        M = np.random.default_rng(67).standard_normal((8, 6))
+        fn = lambda X: X @ M.T  # noqa: E731
+        wide = sigma_points(np.zeros(6), np.eye(6), self.params)
+        stats = channel_statistics(wide, fn)
+        prior = TrackerState(ChannelState(1, np.zeros(6)), 1e-3 * np.eye(6))
+        obs = Observation(y_real=np.ones(8), snr_rho=10.0, time_index=0)
+        with pytest.raises(IndefiniteCovariance):
+            update(prior, self.plan, obs, self.params, channel_fn=fn, stats=stats,
+                   steps=2)
 
 
 class TestUpdateProperties:

@@ -29,6 +29,8 @@ from beamtrack import (
     generate_scenario,
     channel_matrix,
     make_channel_fn,
+    noiseless_measurement,
+    observation_map,
     observe,
     predict,
     sigma_points,
@@ -69,8 +71,9 @@ for k in range(cfg.num_observations):
     design = design_beams(ts, tx, rx, params, cfg.rho, cfg.N_T, cfg.N_R, stats=stats)
     plan = build_plan(design.F, design.Z)
     obs = observe(plan, channel_fn(truth.x[None])[0], cfg.rho, rng, time_index=k)
-    innovation = float(np.linalg.norm(obs.y_real - plan.G_real @ stats.h_hat))
-    ts = update(ts, plan, obs, params, stats=stats)
+    innovation = float(np.linalg.norm(obs.y_real - noiseless_measurement(plan, stats.h_hat)))
+    measure = observation_map(plan, cfg.L, tx, rx)
+    ts = update(ts, measure, obs, params, sigma=sigma)
 
     pos_err = max(
         float(np.max(np.abs(ts.x_hat.tx_positions - truth.tx_positions))),

@@ -23,6 +23,7 @@ from beamtrack import (
     design_beams,
     generate_scenario,
     make_channel_fn,
+    observation_map,
     observe,
     sigma_points,
     update,
@@ -45,7 +46,7 @@ def trace_reduction(F, Z):
     """How much posterior trace the update removes; beam-dependent only."""
     plan = build_plan(F, Z)
     obs = observe(plan, h_true, cfg.rho, np.random.default_rng(0))
-    post = update(prior, plan, obs, params, stats=stats)
+    post = update(prior, observation_map(plan, cfg.L, tx, rx), obs, params, sigma=sigma)
     return float(np.trace(prior.R) - np.trace(post.R))
 
 design = design_beams(prior, tx, rx, params, cfg.rho, cfg.N_T, cfg.N_R, stats=stats)

@@ -16,8 +16,8 @@ Layers, bottom up:
   vectors, channel matrices and their stacked-real form.
 * :mod:`beamtrack.dynamics` — state-transition/process-noise pairs at any
   time step, truth advancement, mean/covariance propagation.
-* :mod:`beamtrack.sounding` — beam-pair sounding plans, the linear
-  observation operator, noisy observation synthesis.
+* :mod:`beamtrack.sounding` — beam-pair sounding plans, the observation
+  map on the channel's steering factors, noisy observation synthesis.
 * :mod:`beamtrack.tracker` — sigma points, unscented statistics, the
   predict/update cycle.
 * :mod:`beamtrack.beams` — posterior-statistics-driven sounding-beam design
@@ -66,7 +66,14 @@ from .simulate import (
     run_many,
     snr_loss_ratio,
 )
-from .sounding import Observation, SoundingPlan, build_plan, observe
+from .sounding import (
+    Observation,
+    SoundingPlan,
+    build_plan,
+    noiseless_measurement,
+    observation_map,
+    observe,
+)
 from .tracker import (
     ChannelStats,
     SigmaSet,
@@ -118,6 +125,8 @@ __all__ = [
     "kronecker_beams",
     "make_channel_fn",
     "matrix_sqrt_psd",
+    "noiseless_measurement",
+    "observation_map",
     "observe",
     "predict",
     "real_channel_vector",

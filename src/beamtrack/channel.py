@@ -152,13 +152,20 @@ def steering_factors(
     if X.shape[1] != 6 * L:
         raise DimensionMismatch(f"state rows must have length {6 * L}, got {X.shape[1]}")
     gains = X[:, 0 : 2 * L : 2] + 1j * X[:, 1 : 2 * L : 2]
-    nu_t = virtual_to_spatial(X[:, 2 * L : 4 * L : 2], tx)
-    nu_r = virtual_to_spatial(X[:, 4 * L : 6 * L : 2], rx)
-    m_t = np.arange(1, tx.num_antennas + 1)
-    m_r = np.arange(1, rx.num_antennas + 1)
-    a_t = np.exp(-2j * np.pi * nu_t[:, None, :] * m_t[None, :, None])
-    a_r = np.exp(-2j * np.pi * nu_r[:, None, :] * m_r[None, :, None])
+    a_t = _steering_columns(virtual_to_spatial(X[:, 2 * L : 4 * L : 2], tx), tx.num_antennas)
+    a_r = _steering_columns(virtual_to_spatial(X[:, 4 * L : 6 * L : 2], rx), rx.num_antennas)
     return gains, a_t, a_r
+
+
+def _steering_columns(nu: np.ndarray, M: int) -> np.ndarray:
+    """Steering vectors of (P, L) spatial angles as (P, M, L) columns.
+
+    Entry m is ``w**m`` with ``w = exp(-2j pi nu)``: one complex exp per
+    path, then a running product over the antennas.  Each factor adds one
+    rounding, so entry m is within about m ulps of ``exp(-2j pi m nu)``.
+    """
+    w = np.exp(-2j * np.pi * nu)
+    return np.cumprod(np.broadcast_to(w[:, None, :], (w.shape[0], M, w.shape[1])), axis=1)
 
 
 def channel_matrix(state: ChannelState, tx: ArrayGeometry, rx: ArrayGeometry) -> np.ndarray:

@@ -44,7 +44,6 @@ from .tracker import (
     SigmaSet,
     TrackerState,
     UkfParams,
-    channel_statistics,
     predict,
     sigma_points,
     update,
@@ -375,8 +374,8 @@ def check_ukf_matches_kf(fault: float = 0.0) -> float:
     dft2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     plan = build_plan(dft2.astype(complex), dft2.astype(complex))
     C = rng.standard_normal((8, 6))
-    channel_fn = lambda X: X @ C.T  # noqa: E731 - tiny linear surrogate
     H = plan.G_real @ C
+    measure = lambda X: X @ H.T  # noqa: E731 - tiny linear surrogate
     rho = 10.0
     model = DynamicsModel(L=1, beta=0.905, T_S=1e-4)
     tp = build_transition(model, 1e-4)
@@ -391,8 +390,7 @@ def check_ukf_matches_kf(fault: float = 0.0) -> float:
         y_vec = rng.standard_normal(8)
         obs = Observation(y_real=y_vec, snr_rho=rho, time_index=k)
         sigma = _faulted(sigma_points(ts.x_hat.x, ts.R, params), fault)
-        stats = channel_statistics(sigma, channel_fn)
-        ts = update(ts, plan, obs, params, stats=stats)
+        ts = update(ts, measure, obs, params, sigma=sigma)
         x_kf, R_kf = _kalman_update(x_kf, R_kf, H, y_vec, 1.0 / (2.0 * rho))
         worst = max(
             worst,

@@ -199,6 +199,16 @@ def rank_one_factor(R: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     of unit 2-norm and ``s = sigma_1(R)``, so ``s * outer(u, conj(v))`` is the
     Frobenius-nearest rank-one matrix to ``R``.
 
+    The dominant vector of the smaller side is the top eigenvector of the
+    smaller Gram matrix (``R R^H`` or ``R^H R``); one product with ``R``
+    gives ``s`` and the other vector.  Unlike LAPACK's divide-and-conquer
+    SVD, whose result moves in the last bits with the BLAS thread count,
+    this gives the same bits at any thread count.  Squaring ``R`` squares
+    its condition, so when ``sigma_1 / sigma_2`` is close to one the vectors
+    may mix the top two singular pairs.  The fit ``s u v^H = u u^H R`` is the
+    projection of ``R`` onto ``u``, so such a mix costs at most
+    ``sigma_1^2 - sigma_2^2`` in squared Frobenius error.
+
     Raises:
         ZeroMatrix: ``R`` has no nonzero entry.
     """
@@ -207,8 +217,15 @@ def rank_one_factor(R: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         raise DimensionMismatch(f"expected a matrix, got shape {R.shape}")
     if not np.any(R):
         raise ZeroMatrix("cannot factor the zero matrix")
-    U, s, Vh = np.linalg.svd(R, full_matrices=False)
-    return U[:, 0], float(s[0]), Vh[0, :].conj()
+    if R.shape[0] <= R.shape[1]:
+        u = np.linalg.eigh(R @ R.conj().T)[1][:, -1]
+        sv = R.conj().T @ u
+        s = float(np.linalg.norm(sv))
+        return u, s, sv / s
+    v = np.linalg.eigh(R.conj().T @ R)[1][:, -1]
+    su = R @ v
+    s = float(np.linalg.norm(su))
+    return su / s, s, v
 
 
 def complex_to_real_stacked(G: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from .beams import design_beams
 from .channel import ArrayGeometry, ChannelState, steering_factors
 from .dynamics import DynamicsModel, build_transition, predicted_mean
 from .errors import BadConfig, EmptyInput, ZeroChannel
-from .sounding import build_plan, observe
+from .sounding import build_plan, noiseless_measurement, observation_map, observe
 from .tracker import (
     TrackerState,
     UkfParams,
@@ -430,10 +430,12 @@ def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
         design = design_beams(ts, tx, rx, params, rho, n_t, n_r, stats=stats)
         plan = build_plan(design.F, design.Z)
 
-        h_true = channel_fn(X[:1])[0]
-        obs = observe(plan, h_true, rho, rng_obs, time_index=k)
-        rec.innovation_norms[k] = np.linalg.norm(obs.y_real - plan.G_real @ stats.h_hat)
-        ts = update(ts, plan, obs, params, rho, channel_fn, stats, steps=UPDATE_STEPS)
+        obs = observe(plan, channel_fn(X[:1])[0], rho, rng_obs, time_index=k)
+        rec.innovation_norms[k] = np.linalg.norm(
+            obs.y_real - noiseless_measurement(plan, stats.h_hat)
+        )
+        measure = observation_map(plan, cfg.L, tx, rx)
+        ts = update(ts, measure, obs, params, rho, sigma, steps=UPDATE_STEPS)
         if not _healthy(ts.x_hat.x):
             rec.diverged = True
             break

@@ -1,10 +1,16 @@
-"""Observation operators built from sounding beams, and noisy measurements.
+"""Observation maps built from sounding beams, and noisy measurements.
 
 Sounding a channel ``H`` with transmit beams ``F`` (columns) and receive
 beams ``Z`` yields the matrix ``Z^H H F``; vectorizing turns that into the
 linear operator ``G = F^T kron Z^H`` acting on ``vec(H)``.  Everything
 downstream works with the stacked-real form, where receiver noise is i.i.d.
 Gaussian with variance ``1 / (2 rho)`` per real component.
+
+The run path never forms ``G``.  Measurements are taken as ``Z^H H F``, and
+the filter's map from states to measurements works on the rank-L steering
+factors of ``H = a_R diag(g) a_T^H``: ``(Z^H a_R) diag(g) (a_T^H F)``, an
+N_R x L by L x N_T product per state (see ``observation_map``).  ``G`` and
+its stacked-real form are built on demand for cross-checks.
 """
 
 from __future__ import annotations
@@ -14,34 +20,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import ArrayGeometry, steering_factors
 from .errors import (
     DimensionMismatch,
     EmptyBeamSet,
     NonpositiveSnr,
     NotUnitNorm,
 )
-from .numerics import complex_to_real_stacked, vec
+from .numerics import complex_to_real_stacked, unvec, vec
 
 
 @dataclass(frozen=True)
 class SoundingPlan:
-    """Beam sets together with their precomputed observation operators.
+    """Validated beam sets of one sounding.
 
     Attributes:
         F: Transmit beams, one unit-norm column per sounding direction.
         Z: Receive beams, one unit-norm column per sounding direction.
-        G: Complex observation operator, F.T kron Z.conj().T.
-        G_real: Stacked-real form of G, acting on [Re vec H; Im vec H].
     """
 
     F: np.ndarray
     Z: np.ndarray
-    G: np.ndarray
-    G_real: np.ndarray
 
     @property
     def num_soundings(self) -> int:
-        return self.G.shape[0]
+        return self.F.shape[1] * self.Z.shape[1]
+
+    @property
+    def G(self) -> np.ndarray:
+        """Complex observation operator F.T kron Z.conj().T, formed densely."""
+        return np.kron(self.F.T, self.Z.conj().T)
+
+    @property
+    def G_real(self) -> np.ndarray:
+        """Stacked-real form of G, acting on [Re vec H; Im vec H]."""
+        return complex_to_real_stacked(self.G)
 
 
 @dataclass(frozen=True)
@@ -73,19 +86,42 @@ def _checked_beams(B: np.ndarray, name: str) -> np.ndarray:
 
 
 def build_plan(F: np.ndarray, Z: np.ndarray) -> SoundingPlan:
-    """Validates beam sets and precomputes the observation operators.
+    """Validates the beam sets of a sounding.
 
     Args:
         F: M_T x N_T transmit beams.
         Z: M_R x N_R receive beams.
 
     Returns:
-        SoundingPlan with G = F.T kron Z^H and its stacked-real form.
+        SoundingPlan holding unit-norm F and Z.
     """
-    F = _checked_beams(F, "F")
-    Z = _checked_beams(Z, "Z")
-    G = np.kron(F.T, Z.conj().T)
-    return SoundingPlan(F=F, Z=Z, G=G, G_real=complex_to_real_stacked(G))
+    return SoundingPlan(F=_checked_beams(F, "F"), Z=_checked_beams(Z, "Z"))
+
+
+def observation_map(plan: SoundingPlan, L: int, tx: ArrayGeometry, rx: ArrayGeometry):
+    """Batched map from (P, 6L) states to their noiseless stacked-real measurements.
+
+    Row p of the result is ``G h_p`` for the stacked-real channel ``h_p`` of
+    state p, computed from the steering factors as
+    ``vec((Z^H a_R) diag(g) (a_T^H F))``; neither the channel nor G is formed.
+    """
+    if (tx.num_antennas, rx.num_antennas) != (plan.F.shape[0], plan.Z.shape[0]):
+        raise DimensionMismatch(
+            f"arrays of {tx.num_antennas} x {rx.num_antennas} antennas do not fit "
+            f"beams of length {plan.F.shape[0]} x {plan.Z.shape[0]}"
+        )
+    F_t, Z_h = plan.F.T, plan.Z.conj().T
+
+    def measure(X: np.ndarray) -> np.ndarray:
+        gains, a_t, a_r = steering_factors(X, L, tx, rx)
+        # Y_p^T = (F^T conj(a_T)) diag(g) (Z^H a_R)^T is N_T x N_R, so its
+        # row-major flattening is the column-major vec of Y_p.
+        tx_side = (F_t @ a_t.conj()) * gains[:, None, :]
+        Y_t = tx_side @ np.swapaxes(Z_h @ a_r, 1, 2)
+        y = Y_t.reshape(Y_t.shape[0], -1)
+        return np.concatenate([y.real, y.imag], axis=1)
+
+    return measure
 
 
 def observe(
@@ -96,10 +132,10 @@ def observe(
     time_index: int = 0,
     noiseless: bool = False,
 ) -> Observation:
-    """Measures a stacked-real channel vector through the plan's operator.
+    """Measures a stacked-real channel vector through the plan's beams.
 
     Args:
-        plan: Sounding plan whose G_real maps channels to measurements.
+        plan: Sounding plan whose beams take the measurement vec(Z^H H F).
         h_real: Stacked-real channel vector [Re vec H; Im vec H].
         rho: Linear SNR; each real noise component has variance 1/(2 rho).
         rng: Noise source.
@@ -107,19 +143,26 @@ def observe(
         noiseless: Skip the noise draw (infinite-SNR limit).
 
     Returns:
-        Observation with y = G_real h + noise.
+        Observation with y = vec(Z^H H F), stacked real, plus noise.
     """
     if rho <= 0.0:
         raise NonpositiveSnr(f"snr must be positive, got {rho}")
-    h_real = np.asarray(h_real, dtype=float)
-    if h_real.shape != (plan.G_real.shape[1],):
-        raise DimensionMismatch(
-            f"channel vector has shape {h_real.shape}, expected ({plan.G_real.shape[1]},)"
-        )
-    y = plan.G_real @ h_real
+    y = noiseless_measurement(plan, h_real)
     if not noiseless:
         y = y + rng.standard_normal(y.shape[0]) / np.sqrt(2.0 * rho)
     return Observation(y_real=y, snr_rho=rho, time_index=time_index)
+
+
+def noiseless_measurement(plan: SoundingPlan, h_real: np.ndarray) -> np.ndarray:
+    """The stacked-real measurement ``G h`` of a stacked-real channel, without noise."""
+    h_real = np.asarray(h_real, dtype=float)
+    M_R, M_T = plan.Z.shape[0], plan.F.shape[0]
+    n = M_R * M_T
+    if h_real.shape != (2 * n,):
+        raise DimensionMismatch(
+            f"channel vector has shape {h_real.shape}, expected ({2 * n},)"
+        )
+    return stack_response(plan, unvec(h_real[:n] + 1j * h_real[n:], M_R, M_T))
 
 
 def noiseless_response(plan: SoundingPlan, H: np.ndarray) -> np.ndarray:
@@ -132,6 +175,6 @@ def noiseless_response(plan: SoundingPlan, H: np.ndarray) -> np.ndarray:
 
 
 def stack_response(plan: SoundingPlan, H: np.ndarray) -> np.ndarray:
-    """Stacked-real vectorization of noiseless_response, for cross-checks."""
+    """Stacked-real vectorization of noiseless_response."""
     resp = vec(noiseless_response(plan, H))
     return np.concatenate([resp.real, resp.imag])

@@ -2,22 +2,25 @@
 
 The filter alternates a linear predict step (the dynamics are exactly linear)
 with an unscented measurement update: sigma points drawn from the prior are
-pushed through the nonlinear state-to-channel map, and the resulting sample
-statistics stand in for the Jacobians an extended filter would need.  Both
-process and measurement noise enter additively, so no state augmentation is
-required.
+pushed through the nonlinear state-to-measurement map, and the resulting
+sample statistics stand in for the Jacobians an extended filter would need.
+Both process and measurement noise enter additively, so no state augmentation
+is required.
 
 Sigma statistics are exposed separately (``channel_statistics``) because beam
-design consumes the same prior channel moments the update does; computing them
-once per step avoids a second transform.
+design consumes the prior's channel moments before the beams, and so the
+measurement map, exist.  The update can take the same prior sigma points, so
+the covariance root is computed once per period.
 
 The channel covariance is kept factored.  With 2n+1 sigma points and their
 deviations ``D`` from the mean channel (one row per point), the covariance is
 ``Pi = D^T diag(w_cov) D``: rank at most 2n+1 in a channel space of
-2*M_R*M_T real dimensions.  The update needs only ``G Pi G^T``, which is
-``(D G^T)^T diag(w_cov) (D G^T)``, and beam design solves its pencil in the
-span of ``D^T`` (see ``beams``), so the dense covariance is never formed on
-the run path; ``ChannelStats.Pi`` builds it on demand for other callers.
+2*M_R*M_T real dimensions.  Beam design solves its pencil in the span of
+``D^T`` (see ``beams``), so the dense covariance is never formed on the run
+path; ``ChannelStats.Pi`` builds it on demand for other callers.
+The update never sees the channel at all: it takes a batched state-to-
+measurement map (``sounding.observation_map`` on the run path) and works in
+the observation space throughout.
 All linear algebra here is numpy's, so one BLAS library serves the loop.
 Each partial step of the update factors its posterior once: the Cholesky
 factor of ``(n + lambda) R`` checks it and roots the next step's sigma points.
@@ -39,7 +42,7 @@ from .errors import (
     SingularInnovation,
 )
 from .numerics import matrix_sqrt_psd
-from .sounding import Observation, SoundingPlan
+from .sounding import Observation
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class SigmaSet:
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Sigma-transform moments of the stacked-real channel.
+    """Sigma-transform moments of a mapped quantity: the channel or a measurement.
 
     Attributes:
         h_hat: Weighted mean of the transformed points.
@@ -157,7 +160,11 @@ def make_channel_fn(L: int, tx: ArrayGeometry, rx: ArrayGeometry):
 
 
 def channel_statistics(sigma: SigmaSet, channel_fn) -> ChannelStats:
-    """Pushes sigma points through the channel map and collects moments."""
+    """Pushes sigma points through a batched map and collects moments.
+
+    ``channel_fn`` maps the (2n+1, n) points to one row each: stacked-real
+    channels for beam design, or measurements inside ``update``.
+    """
     zeta = np.asarray(channel_fn(sigma.points), dtype=float)
     if zeta.shape[0] != sigma.points.shape[0]:
         raise DimensionMismatch(
@@ -169,20 +176,6 @@ def channel_statistics(sigma: SigmaSet, channel_fn) -> ChannelStats:
     dx = sigma.points - sigma.points[0]
     R_xh = (dx * sigma.w_cov[:, None]).T @ dz
     return ChannelStats(h_hat=h_hat, D=dz, w_cov=sigma.w_cov, R_xh=R_xh)
-
-
-def observation_statistics(stats: ChannelStats, G: np.ndarray) -> ChannelStats:
-    """Sigma moments of the observation ``G h`` from those of the channel h.
-
-    The predicted measurement is ``G h_hat`` and the cross-covariance
-    ``R_xh G^T``.  The deviations map to ``D G^T``, so the measurement
-    covariance ``G Pi G^T`` stays factored as
-    ``(D G^T)^T diag(w_cov) (D G^T)``: (2n+1) x rows(G) work instead of
-    channel-space products.
-    """
-    return ChannelStats(
-        h_hat=G @ stats.h_hat, D=stats.D @ G.T, w_cov=stats.w_cov, R_xh=stats.R_xh @ G.T
-    )
 
 
 def _condition_covariance(R: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -221,12 +214,11 @@ def predict(ts: TrackerState, tp: TransitionPair) -> TrackerState:
 
 def update(
     prior: TrackerState,
-    plan: SoundingPlan,
+    measure,
     y: Observation,
     params: UkfParams,
     rho: float | None = None,
-    channel_fn=None,
-    stats: ChannelStats | None = None,
+    sigma: SigmaSet | None = None,
     steps: int = 1,
 ) -> TrackerState:
     """Applies one unscented measurement update, optionally in partial steps.
@@ -237,18 +229,16 @@ def update(
     times.  Step i (counting from 0) carries the fraction
     ``2**i / (2**N - 1)`` of its information, i.e. noise variance
     ``1 / (2 rho fraction)``.  The sigma statistics are recomputed at every
-    partial posterior.  The fractions sum to one, so on a linear channel map
-    the result equals the Kalman update exactly.  On the nonlinear map the
+    partial posterior.  The fractions sum to one, so on a linear map the
+    result equals the Kalman update exactly.  On the nonlinear map the
     first steps add far less information than the prior holds, so the
     estimate moves while the sigma points still span the prior, and each
     later step doubles the information and relinearizes closer in.  Equal
     fractions do not do this: 1/N of one sounding already shrinks a prior
     position spread of several beamwidths to a fraction of one, and the
-    remaining steps can no longer move the estimate.  Every step works in
-    the observation space (the channel map composed with the sounding
-    operator): the first maps the prior's sigma deviations by G, the later
-    ones push fresh sigma points through that composed map, so no
-    channel-space covariance is formed.  Each step checks the innovation
+    remaining steps can no longer move the estimate.  Every step pushes its
+    sigma points through ``measure`` and works in the observation space, so
+    no channel-space quantity is formed.  Each step checks the innovation
     covariance S by a Cholesky factorization, without a regularized retry
     (S holds at least the noise variance on its diagonal), then solves S
     once for both the innovation and the cross-covariance.  The posterior is
@@ -256,14 +246,13 @@ def update(
 
     Args:
         prior: Predicted state before seeing the measurement.
-        plan: Sounding plan whose G_real produced the observation.
+        measure: Batched map from (P, n) states to their (P, len(y))
+            noiseless stacked-real measurements.
         y: Stacked-real measurement.
         params: Sigma-point scaling parameters.
         rho: Linear SNR; defaults to the observation's own snr_rho.
-        channel_fn: Batched state->stacked-real-channel map; required unless
-            precomputed stats are supplied and steps is 1.
-        stats: Prior sigma-transform moments, if already computed for beam
-            design; they serve the first step and skip a redundant transform.
+        sigma: Sigma points of the prior, if already drawn for beam design;
+            they serve the first step.
         steps: Number of partial updates; 1 is the single-pass update.
 
     Returns:
@@ -273,37 +262,24 @@ def update(
         rho = y.snr_rho
     if steps < 1:
         raise BadScaling(f"need at least one update step, got {steps}")
-    if channel_fn is None and (stats is None or steps > 1):
-        raise DimensionMismatch(
-            "update needs channel_fn, or precomputed stats for a single step"
-        )
-    if stats is None:
-        sigma = sigma_points(prior.x_hat.x, prior.R, params)
-        stats = channel_statistics(sigma, channel_fn)
-    G = plan.G_real
-    if y.y_real.shape != (G.shape[0],):
-        raise DimensionMismatch(
-            f"observation has shape {y.y_real.shape}, expected ({G.shape[0]},)"
-        )
-    if stats.h_hat.shape != (G.shape[1],):
-        raise DimensionMismatch(
-            f"channel map produced length {stats.h_hat.shape[0]}, "
-            f"expected {G.shape[1]}"
-        )
-
-    def observed_fn(X):
-        return channel_fn(X) @ G.T
-
-    obs_stats = observation_statistics(stats, G)
     x, R = prior.x_hat.x, prior.R
+    if sigma is None:
+        sigma = sigma_points(x, R, params)
     scale = _sigma_scale(x.shape[0], params)
+    eye = np.eye(y.y_real.shape[0])
     fractions = 2.0 ** np.arange(steps) / (2.0**steps - 1.0)
     for step, fraction in enumerate(fractions):
         if step > 0:
-            obs_stats = channel_statistics(_sigma_set(x, root, params), observed_fn)
+            sigma = _sigma_set(x, root, params)
+        obs_stats = channel_statistics(sigma, measure)
+        if obs_stats.h_hat.shape != y.y_real.shape:
+            raise DimensionMismatch(
+                f"measurement map produced length {obs_stats.h_hat.shape[0]}, "
+                f"observation has {y.y_real.shape[0]}"
+            )
         T = obs_stats.R_xh.T
         # Pi is exactly symmetric and the noise diagonal, so S is too.
-        S = obs_stats.Pi + np.eye(G.shape[0]) / (2.0 * rho * fraction)
+        S = obs_stats.Pi + eye / (2.0 * rho * fraction)
         try:
             np.linalg.cholesky(S)
         except np.linalg.LinAlgError as exc:

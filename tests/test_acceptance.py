@@ -22,7 +22,7 @@ from beamtrack.cli import (
 from beamtrack.dynamics import DynamicsModel, advance_truth, build_transition
 from beamtrack.numerics import generalized_eig_sym
 from beamtrack.simulate import ScenarioConfig, generate_scenario, run_many
-from beamtrack.sounding import build_plan, observe
+from beamtrack.sounding import build_plan, observation_map, observe
 from beamtrack.tracker import (
     TrackerState,
     UkfParams,
@@ -249,7 +249,8 @@ class TestAcceptance:
                     Z = baseline_beams("random_unit", cfg.M_R, cfg.N_R, rng=rng_beam)
                 plan = build_plan(F, Z)
                 obs = observe(plan, h_true, cfg.rho, rng_noise)
-                post = update(prior, plan, obs, params, stats=stats)
+                measure = observation_map(plan, cfg.L, tx, rx)
+                post = update(prior, measure, obs, params, sigma=sigma)
                 traces[arm] = float(np.trace(post.R))
             wins += traces["adaptive"] <= traces["random"]
         ok = wins >= 80

@@ -34,7 +34,7 @@ from beamtrack.numerics import (
     generalized_eig_sym,
     kron_rearrange,
 )
-from beamtrack.sounding import build_plan, observe
+from beamtrack.sounding import build_plan, observation_map, observe
 from beamtrack.tracker import TrackerState, UkfParams, make_channel_fn, update
 
 
@@ -368,8 +368,8 @@ class TestDesignBeams:
             for F, Z in ((designed.F, designed.Z), (random_F, random_Z)):
                 plan = build_plan(F, Z)
                 obs = observe(plan, h_true, 10.0, rng, time_index=0)
-                post = update(prior_state(prior), plan, obs, UkfParams(),
-                              channel_fn=fn)
+                measure = observation_map(plan, 1, self.GEOM, self.GEOM)
+                post = update(prior_state(prior), measure, obs, UkfParams())
                 traces.append(np.trace(post.R))
             if traces[0] <= traces[1]:
                 wins += 1

@@ -10,6 +10,7 @@ from beamtrack.channel import (
     channel_matrix,
     real_channel_vector,
     real_channel_vectors,
+    steering_factors,
     steering_vector,
     virtual_to_spatial,
 )
@@ -161,6 +162,24 @@ class TestRealChannelVector:
     def test_batch_rejects_bad_width(self):
         with pytest.raises(DimensionMismatch):
             real_channel_vectors(np.zeros((2, 10)), 2, GEOM2, GEOM2)
+
+
+class TestSteeringFactors:
+    @pytest.mark.parametrize("M", [1, 2, 16, 64])
+    def test_running_product_matches_exp_formula(self, M):
+        # Virtual positions up to 1e3 put the spatial angles right at the
+        # edge of the visible range, where the phase per antenna is largest.
+        rng = np.random.default_rng(19)
+        L, P = 4, 50
+        X = rng.standard_normal((P, 6 * L))
+        X[:, 2 * L :] *= np.logspace(-2, 3, P)[:, None]
+        geom = ArrayGeometry(M)
+        _, a_t, a_r = steering_factors(X, L, geom, geom)
+        m = np.arange(1, M + 1)
+        for a, block in ((a_t, X[:, 2 * L : 4 * L : 2]), (a_r, X[:, 4 * L :: 2])):
+            nu = virtual_to_spatial(block, geom)
+            ref = np.exp(-2j * np.pi * nu[:, None, :] * m[None, :, None])
+            np.testing.assert_allclose(a, ref, rtol=0.0, atol=1e-13)
 
 
 class TestChannelState:

@@ -1,8 +1,8 @@
 """Factored sigma-subspace kernels against the dense channel-space maths.
 
 Beam design solves its pencil through the factors Pi = F Omega F^T and the
-update works with the mapped sigma deviations D G^T.  Each test here writes
-the dense reference (a Cholesky factorization of the m x m matrix
+update pushes sigma points through the factored observation map.  Each test
+here writes the dense reference (a Cholesky factorization of the m x m matrix
 Pi + I/(2 rho), or G Pi G^T and an explicit inverse) and requires the
 factored kernels to agree with it.
 """
@@ -19,14 +19,13 @@ from beamtrack.beams import (
 from beamtrack.channel import ArrayGeometry
 from beamtrack.errors import SingularB, SingularInnovation
 from beamtrack.simulate import FILTER_PARAMS, ScenarioConfig, generate_scenario
-from beamtrack.sounding import build_plan, observe
+from beamtrack.sounding import build_plan, observation_map, observe
 from beamtrack.tracker import (
-    ChannelStats,
+    SigmaSet,
     TrackerState,
     UkfParams,
     channel_statistics,
     make_channel_fn,
-    observation_statistics,
     sigma_points,
     update,
 )
@@ -127,7 +126,8 @@ class TestFactoredPencil:
 
 
 def small_problem(seed):
-    """A two-path 8x8 prior, its statistics, a designed plan and a measurement."""
+    """A two-path 8x8 prior, its sigma points and channel statistics, the
+    measurement map of a designed plan, the plan and a measurement."""
     rng = np.random.default_rng(seed)
     cfg = ScenarioConfig(L=2, M_T=8, M_R=8, N_T=3, N_R=3)
     tx, rx = ArrayGeometry(cfg.M_T), ArrayGeometry(cfg.M_R)
@@ -135,35 +135,37 @@ def small_problem(seed):
     fn = make_channel_fn(cfg.L, tx, rx)
     params = UkfParams(eta=1.0)  # nonnegative weights: a PSD joint covariance
     prior = TrackerState(estimate, R0)
-    stats = channel_statistics(sigma_points(estimate.x, R0, params), fn)
+    sigma = sigma_points(estimate.x, R0, params)
+    stats = channel_statistics(sigma, fn)
     design = design_beams(prior, tx, rx, params, cfg.rho, cfg.N_T, cfg.N_R, stats=stats)
     plan = build_plan(design.F, design.Z)
     obs = observe(plan, fn(truth.x[None, :])[0], cfg.rho, rng)
-    return prior, stats, plan, obs, params, cfg.rho
+    measure = observation_map(plan, cfg.L, tx, rx)
+    return prior, sigma, stats, measure, plan, obs, params, cfg.rho
 
 
 class TestFactoredUpdate:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_first_step_covariance_equals_dense_product(self, seed):
-        _, stats, plan, _, _, _ = small_problem(seed)
+        _, sigma, stats, measure, plan, _, _, _ = small_problem(seed)
         G = plan.G_real
-        obs_stats = observation_statistics(stats, G)
+        obs_stats = channel_statistics(sigma, measure)
         S0 = G @ stats.Pi @ G.T
-        scale = np.linalg.norm(S0)
-        assert np.linalg.norm(obs_stats.Pi - S0) <= 1e-12 * scale
-        np.testing.assert_array_equal(obs_stats.h_hat, G @ stats.h_hat)
-        np.testing.assert_array_equal(obs_stats.R_xh, stats.R_xh @ G.T)
+        assert np.linalg.norm(obs_stats.Pi - S0) <= 1e-12 * np.linalg.norm(S0)
+        for got, want in ((obs_stats.h_hat, G @ stats.h_hat),
+                          (obs_stats.R_xh, stats.R_xh @ G.T)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_update_equals_explicit_gain(self, seed):
-        prior, stats, plan, obs, params, rho = small_problem(seed)
+        prior, sigma, stats, measure, plan, obs, params, rho = small_problem(seed)
         G = plan.G_real
         T = G @ stats.R_xh.T
         S = G @ stats.Pi @ G.T + np.eye(G.shape[0]) / (2.0 * rho)
         S_inv = np.linalg.inv((S + S.T) / 2.0)
         dx = T.T @ S_inv @ (obs.y_real - G @ stats.h_hat)
         dR = T.T @ S_inv @ T
-        post = update(prior, plan, obs, params, rho, stats=stats)
+        post = update(prior, measure, obs, params, rho, sigma=sigma)
         # The increments themselves agree, not only the posterior moments.
         got_dx = post.x_hat.x - prior.x_hat.x
         got_dR = prior.R - post.R
@@ -171,10 +173,9 @@ class TestFactoredUpdate:
         assert np.linalg.norm(got_dR - (dR + dR.T) / 2.0) <= 1e-12 * np.linalg.norm(dR)
 
     def test_indefinite_innovation_raises(self):
-        # Negative weights make G Pi G^T strongly indefinite; the light
-        # regularization cannot rescue it.
-        prior, stats, plan, obs, params, rho = small_problem(0)
-        bad = ChannelStats(h_hat=stats.h_hat, D=stats.D, w_cov=-np.abs(stats.w_cov),
-                           R_xh=stats.R_xh)
+        # Negative weights make G Pi G^T strongly indefinite, and the noise
+        # on the diagonal of S cannot make up for it.
+        prior, sigma, _, measure, _, obs, params, rho = small_problem(0)
+        bad = SigmaSet(sigma.points, sigma.w_mean, -np.abs(sigma.w_cov))
         with pytest.raises(SingularInnovation):
-            update(prior, plan, obs, params, rho, stats=bad)
+            update(prior, measure, obs, params, rho, sigma=bad)

@@ -207,6 +207,23 @@ class TestRankOneFactor:
             c = np.vdot(up, R @ vp)  # optimal complex scale for this pair
             assert np.linalg.norm(R - c * np.outer(up, vp.conj())) >= best - 1e-12
 
+    @pytest.mark.parametrize("shape", [(96, 96), (40, 96), (96, 40)])
+    def test_near_degenerate_residual_matches_svd(self, shape):
+        # sigma_1 / sigma_2 = 1 + 1e-6: the Gram matrix cannot separate the
+        # top two vectors, so only the fit's residual is compared.
+        rng = np.random.default_rng(34)
+        k = min(shape)
+        U, _ = np.linalg.qr(random_complex(rng, (shape[0], k)))
+        V, _ = np.linalg.qr(random_complex(rng, (shape[1], k)))
+        sigmas = np.r_[1.0 + 1e-6, 1.0, np.linspace(0.5, 0.01, k - 2)]
+        R = (U * sigmas) @ V.conj().T
+        u, s, v = rank_one_factor(R)
+        resid = np.linalg.norm(R - s * np.outer(u, v.conj()))
+        exact = np.sqrt(np.sum(np.linalg.svd(R, compute_uv=False)[1:] ** 2))
+        assert abs(resid - exact) <= 1e-6 * exact
+        assert abs(np.linalg.norm(u) - 1.0) < 1e-14
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+
     def test_rejects_zero(self):
         with pytest.raises(ZeroMatrix):
             rank_one_factor(np.zeros((3, 3)))

@@ -1,8 +1,15 @@
 """Tests for scenario generation, the frame loop, and metric aggregation."""
 
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import beamtrack.sounding
 from beamtrack.beams import design_beams
 from beamtrack.channel import ArrayGeometry, ChannelState, channel_matrix, steering_vector
 from beamtrack.dynamics import DynamicsModel, advance_truth, build_transition
@@ -13,6 +20,7 @@ from beamtrack.simulate import (
     UPDATE_STEPS,
     RunRecord,
     ScenarioConfig,
+    _BLAS_THREAD_VARS,
     _noisy_estimate,
     aggregate_runs,
     generate_scenario,
@@ -20,7 +28,7 @@ from beamtrack.simulate import (
     run_many,
     snr_loss_ratio,
 )
-from beamtrack.sounding import build_plan, observe
+from beamtrack.sounding import build_plan, noiseless_measurement, observation_map, observe
 from beamtrack.tracker import (
     TrackerState,
     channel_statistics,
@@ -107,9 +115,8 @@ def per_step_reference(cfg, run_index=0) -> RunRecord:
             k = i // per_obs
             if k > 0:
                 ts = predict(ts, tp_obs)
-            stats = channel_statistics(
-                sigma_points(ts.x_hat.x, ts.R, FILTER_PARAMS), channel_fn
-            )
+            sigma = sigma_points(ts.x_hat.x, ts.R, FILTER_PARAMS)
+            stats = channel_statistics(sigma, channel_fn)
             n_t = cfg.first_N_T if k == 0 and cfg.first_N_T else cfg.N_T
             n_r = cfg.first_N_R if k == 0 and cfg.first_N_R else cfg.N_R
             design = design_beams(
@@ -120,12 +127,10 @@ def per_step_reference(cfg, run_index=0) -> RunRecord:
                 plan, channel_fn(truth.x[None, :])[0], cfg.rho, rng_obs, time_index=k
             )
             rec.innovation_norms[k] = np.linalg.norm(
-                obs.y_real - plan.G_real @ stats.h_hat
+                obs.y_real - noiseless_measurement(plan, stats.h_hat)
             )
-            ts = update(
-                ts, plan, obs, FILTER_PARAMS, cfg.rho, channel_fn, stats,
-                steps=UPDATE_STEPS,
-            )
+            measure = observation_map(plan, cfg.L, tx, rx)
+            ts = update(ts, measure, obs, FILTER_PARAMS, cfg.rho, sigma, steps=UPDATE_STEPS)
             if not healthy(ts.x_hat.x):
                 rec.diverged = True
                 break
@@ -373,6 +378,61 @@ class TestRunFrameMatchesPerStepLoop:
             np.testing.assert_allclose(
                 getattr(batched, name), getattr(scalar, name), rtol=1e-12, atol=0.0
             )
+
+
+class _NumpyWithoutKron:
+    """numpy as seen from a module whose np.kron must not be called."""
+
+    def __getattr__(self, name):
+        if name == "kron":
+            raise AssertionError("np.kron called on the run path")
+        return getattr(np, name)
+
+
+class TestFactoredSounding:
+    def test_run_path_forms_no_sounding_operator(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complex_to_real_stacked called on the run path")
+
+        monkeypatch.setattr(beamtrack.sounding, "np", _NumpyWithoutKron())
+        monkeypatch.setattr(beamtrack.sounding, "complex_to_real_stacked", forbidden)
+        with pytest.raises(AssertionError):
+            build_plan(np.eye(2), np.eye(2)).G_real
+        rec = run_frame(small_config(L=2, frame_length=3e-4), 0)
+        assert not rec.diverged
+        assert np.all(np.isfinite(rec.innovation_norms))
+
+
+# Runs a short default frame and writes every array of its RunRecord.
+_RUN_SCRIPT = """
+import dataclasses, sys
+import numpy as np
+from beamtrack.simulate import ScenarioConfig, run_frame
+rec = run_frame(ScenarioConfig(frame_length=5e-4), 0)
+arrays = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
+np.savez(sys.stdout.buffer, **arrays)
+"""
+
+
+def _run_record_in_subprocess(threads):
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env.update({name: str(threads) for name in _BLAS_THREAD_VARS})
+    src = str(Path(beamtrack.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_SCRIPT], env=env, capture_output=True, check=True
+    )
+    with np.load(io.BytesIO(proc.stdout)) as data:
+        return {name: data[name] for name in data.files}
+
+
+def test_run_is_bit_identical_at_one_and_two_blas_threads():
+    one, two = _run_record_in_subprocess(1), _run_record_in_subprocess(2)
+    assert one.keys() == two.keys()
+    assert not one["diverged"]
+    for name in one:
+        np.testing.assert_array_equal(one[name], two[name], err_msg=name)
+        assert one[name].tobytes() == two[name].tobytes(), name
 
 
 class TestRunMany:

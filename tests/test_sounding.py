@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from beamtrack.channel import steering_vector
+from beamtrack.channel import ArrayGeometry, real_channel_vectors, steering_vector
 from beamtrack.errors import (
     DimensionMismatch,
     EmptyBeamSet,
@@ -13,6 +13,7 @@ from beamtrack.errors import (
 from beamtrack.sounding import (
     build_plan,
     noiseless_response,
+    observation_map,
     observe,
     stack_response,
 )
@@ -71,11 +72,14 @@ class TestObserve:
 
     def test_noiseless_matches_operator(self):
         rng = np.random.default_rng(5)
-        q, _ = np.linalg.qr(random_channel(rng, 8, 3))
-        plan = build_plan(q, q)
-        h = rng.standard_normal(2 * 64)
-        obs = observe(plan, h, 1.0, rng, noiseless=True)
-        np.testing.assert_allclose(obs.y_real, plan.G_real @ h, atol=1e-15)
+        # (M_T, N_T, M_R, N_R); the second shape tells the two vec axes apart
+        for m_t, n_t, m_r, n_r in ((8, 3, 8, 3), (7, 2, 5, 3)):
+            F, _ = np.linalg.qr(random_channel(rng, m_t, n_t))
+            Z, _ = np.linalg.qr(random_channel(rng, m_r, n_r))
+            plan = build_plan(F, Z)
+            h = rng.standard_normal(2 * m_t * m_r)
+            obs = observe(plan, h, 1.0, rng, noiseless=True)
+            np.testing.assert_allclose(obs.y_real, plan.G_real @ h, atol=1e-14)
 
     def test_noise_variance_calibration(self):
         plan = build_plan(np.array([[1.0]]), np.array([[1.0]]))
@@ -149,3 +153,27 @@ class TestOperatorIdentities:
         np.testing.assert_allclose(
             stack_response(plan, H), plan.G_real @ stacked(H), atol=1e-12
         )
+
+
+class TestObservationMap:
+    """The factored state-to-measurement map against the dense operator."""
+
+    @pytest.mark.parametrize("L", [1, 4])
+    def test_matches_dense_operator_on_channel_vectors(self, L):
+        # Unequal antenna and beam counts on the two sides, so a transposed
+        # or mis-ordered vec shows.
+        rng = np.random.default_rng(40 + L)
+        tx, rx = ArrayGeometry(7), ArrayGeometry(5)
+        F, _ = np.linalg.qr(random_channel(rng, 7, 2))
+        Z, _ = np.linalg.qr(random_channel(rng, 5, 3))
+        plan = build_plan(F, Z)
+        X = rng.standard_normal((9, 6 * L))
+        dense = real_channel_vectors(X, L, tx, rx) @ plan.G_real.T
+        got = observation_map(plan, L, tx, rx)(X)
+        assert got.shape == (9, 2 * plan.num_soundings)
+        assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
+
+    def test_rejects_arrays_that_do_not_fit_the_beams(self):
+        plan = build_plan(np.eye(3)[:, :2], np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            observation_map(plan, 1, ArrayGeometry(2), ArrayGeometry(3))

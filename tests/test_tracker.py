@@ -12,15 +12,13 @@ from beamtrack.errors import (
     IndefiniteCovariance,
 )
 from beamtrack.simulate import FILTER_PARAMS
-from beamtrack.sounding import Observation, build_plan, observe
+from beamtrack.sounding import Observation, build_plan, observation_map, observe
 from beamtrack.tracker import (
-    ChannelStats,
     TrackerState,
     UkfParams,
     channel_statistics,
     forward_predict_channel,
     make_channel_fn,
-    observation_statistics,
     predict,
     sigma_points,
     update,
@@ -125,8 +123,9 @@ class TestUpdateLinearOracle:
     def setup_method(self):
         rng = np.random.default_rng(50)
         self.plan = build_plan(DFT2, DFT2)  # 8 stacked-real observations
-        self.M = rng.standard_normal((8, 6))  # linear surrogate for the channel map
-        self.channel_fn = lambda X: X @ self.M.T
+        # Linear surrogate for the channel map, composed with the sounding.
+        self.H = self.plan.G_real @ rng.standard_normal((8, 6))
+        self.measure = lambda X: X @ self.H.T
         self.rho = 10.0
 
     def test_single_update_matches_kf(self):
@@ -137,10 +136,8 @@ class TestUpdateLinearOracle:
             y_vec = rng.standard_normal(8)
             obs = Observation(y_real=y_vec, snr_rho=self.rho, time_index=0)
             prior = TrackerState(ChannelState(1, x), R)
-            post = update(prior, self.plan, obs, UkfParams(eta=eta),
-                          channel_fn=self.channel_fn)
-            H = self.plan.G_real @ self.M
-            x_kf, R_kf = kalman_update(x, R, H, y_vec, 1.0 / (2.0 * self.rho))
+            post = update(prior, self.measure, obs, UkfParams(eta=eta))
+            x_kf, R_kf = kalman_update(x, R, self.H, y_vec, 1.0 / (2.0 * self.rho))
             np.testing.assert_allclose(post.x_hat.x, x_kf, atol=1e-8)
             np.testing.assert_allclose(post.R, R_kf, atol=1e-8)
 
@@ -148,7 +145,7 @@ class TestUpdateLinearOracle:
         rng = np.random.default_rng(52)
         model = DynamicsModel(L=1, beta=0.905, T_S=1e-4)
         tp = build_transition(model, 1e-4)
-        H = self.plan.G_real @ self.M
+        H = self.H
         noise_var = 1.0 / (2.0 * self.rho)
 
         ts = TrackerState(ChannelState(1, np.zeros(6)), np.eye(6))
@@ -158,7 +155,7 @@ class TestUpdateLinearOracle:
             x_kf, R_kf = tp.A @ x_kf, tp.A @ R_kf @ tp.A.T + tp.Q
             y_vec = rng.standard_normal(8)
             obs = Observation(y_real=y_vec, snr_rho=self.rho, time_index=ts.k)
-            ts = update(ts, self.plan, obs, UkfParams(), channel_fn=self.channel_fn)
+            ts = update(ts, self.measure, obs, UkfParams())
             x_kf, R_kf = kalman_update(x_kf, R_kf, H, y_vec, noise_var)
             np.testing.assert_allclose(ts.x_hat.x, x_kf, atol=1e-8)
             np.testing.assert_allclose(ts.R, R_kf, atol=1e-8)
@@ -178,9 +175,8 @@ class TestRecursiveUpdate:
             R = random_psd(rng, 6)
             y_vec = rng.standard_normal(8)
             obs = Observation(y_real=y_vec, snr_rho=rho, time_index=0)
-            post = update(TrackerState(ChannelState(1, x), R), plan, obs,
-                          UkfParams(eta=eta), channel_fn=lambda X: X @ M.T,
-                          steps=20)
+            post = update(TrackerState(ChannelState(1, x), R), lambda X: X @ H.T, obs,
+                          UkfParams(eta=eta), steps=20)
             x_kf, R_kf = kalman_update(x, R, H, y_vec, 1.0 / (2.0 * rho))
             np.testing.assert_allclose(post.x_hat.x, x_kf, atol=1e-8)
             np.testing.assert_allclose(post.R, R_kf, atol=1e-8)
@@ -201,47 +197,42 @@ class TestRecursiveUpdate:
         x0[2] -= 0.1
         R0 = np.diag([0.005, 0.005, 0.1, 1e-6, 0.1, 1e-6])
         prior = TrackerState(ChannelState(1, x0), R0)
-        stats = channel_statistics(sigma_points(x0, R0, params), fn)
+        sigma = sigma_points(x0, R0, params)
+        stats = channel_statistics(sigma, fn)
         design = design_beams(prior, geom, geom, params, rho, 6, 6, stats=stats)
         plan = build_plan(design.F, design.Z)
+        measure = observation_map(plan, 1, geom, geom)
         h_true = fn(truth.x[None, :])[0]
         for seed in range(8):
             obs = observe(plan, h_true, rho, np.random.default_rng(seed))
             err, z = {}, {}
             for steps in (1, 20):
-                post = update(prior, plan, obs, params, channel_fn=fn,
-                              stats=stats, steps=steps)
+                post = update(prior, measure, obs, params, sigma=sigma, steps=steps)
                 err[steps] = abs(post.x_hat.x[2] - truth.x[2])
                 z[steps] = err[steps] / np.sqrt(post.R[2, 2])
             assert z[1] > 10.0
             assert z[20] < 4.0
             assert err[20] < 0.01
 
-    def test_needs_channel_fn_for_several_steps(self):
-        plan = build_plan(DFT2, DFT2)
-        fn = make_channel_fn(1, ArrayGeometry(2), ArrayGeometry(2))
+    def test_rejects_mismatched_map_and_bad_step_count(self):
+        measure = observation_map(build_plan(DFT2, DFT2), 1, ArrayGeometry(2), ArrayGeometry(2))
         prior = TrackerState(ChannelState(1, np.zeros(6)), np.eye(6))
-        stats = channel_statistics(sigma_points(np.zeros(6), np.eye(6), UkfParams()), fn)
-        obs = Observation(y_real=np.ones(8), snr_rho=10.0, time_index=0)
         with pytest.raises(DimensionMismatch):
-            update(prior, plan, obs, UkfParams(), stats=stats, steps=2)
+            short = Observation(y_real=np.ones(6), snr_rho=10.0, time_index=0)
+            update(prior, measure, short, UkfParams(), steps=2)
+        obs = Observation(y_real=np.ones(8), snr_rho=10.0, time_index=0)
         with pytest.raises(BadScaling):
-            update(prior, plan, obs, UkfParams(), channel_fn=fn, steps=0)
+            update(prior, measure, obs, UkfParams(), steps=0)
 
 
-def stepwise_update(prior, plan, obs, params, fn, steps):
+def stepwise_update(prior, measure, obs, params, steps):
     """The recursive update, each partial step drawing sigma points from R."""
-    G = plan.G_real
     x, R = prior.x_hat.x, prior.R
     for i in range(steps):
-        sigma = sigma_points(x, R, params)
-        if i == 0:
-            st = observation_statistics(channel_statistics(sigma, fn), G)
-        else:
-            st = channel_statistics(sigma, lambda X: fn(X) @ G.T)
+        st = channel_statistics(sigma_points(x, R, params), measure)
         T = st.R_xh.T
         fraction = 2.0**i / (2.0**steps - 1.0)
-        S = st.Pi + np.eye(G.shape[0]) / (2.0 * obs.snr_rho * fraction)
+        S = st.Pi + np.eye(obs.y_real.shape[0]) / (2.0 * obs.snr_rho * fraction)
         solved = np.linalg.solve(S, np.column_stack([obs.y_real - st.h_hat, T]))
         x = x + T.T @ solved[:, 0]
         R = R - T.T @ solved[:, 1:]
@@ -261,12 +252,12 @@ class TestCarriedSigmaRoot:
     params = UkfParams(eta=0.2)
 
     def check_matches_stepwise(self, R):
-        fn = make_channel_fn(1, ArrayGeometry(2), ArrayGeometry(2))
+        measure = observation_map(self.plan, 1, ArrayGeometry(2), ArrayGeometry(2))
         y = np.random.default_rng(64).standard_normal(8)
         obs = Observation(y_real=y, snr_rho=10.0, time_index=0)
         prior = TrackerState(ChannelState(1, np.linspace(-0.3, 1.0, 6)), R)
-        post = update(prior, self.plan, obs, self.params, channel_fn=fn, steps=3)
-        x_ref, R_ref = stepwise_update(prior, self.plan, obs, self.params, fn, 3)
+        post = update(prior, measure, obs, self.params, steps=3)
+        x_ref, R_ref = stepwise_update(prior, measure, obs, self.params, 3)
         np.testing.assert_array_equal(post.x_hat.x, x_ref)
         np.testing.assert_array_equal(post.R, R_ref)
 
@@ -279,40 +270,38 @@ class TestCarriedSigmaRoot:
         self.check_matches_stepwise(R)
 
     def test_indefinite_partial_posterior_raises(self):
-        # Stats of a far wider prior: the first step removes more than R holds.
+        # Sigma points of a far wider prior: the first step removes more
+        # than R holds.
         M = np.random.default_rng(67).standard_normal((8, 6))
-        fn = lambda X: X @ M.T  # noqa: E731
         wide = sigma_points(np.zeros(6), np.eye(6), self.params)
-        stats = channel_statistics(wide, fn)
         prior = TrackerState(ChannelState(1, np.zeros(6)), 1e-3 * np.eye(6))
         obs = Observation(y_real=np.ones(8), snr_rho=10.0, time_index=0)
         with pytest.raises(IndefiniteCovariance):
-            update(prior, self.plan, obs, self.params, channel_fn=fn, stats=stats,
-                   steps=2)
+            update(prior, lambda X: X @ M.T, obs, self.params, sigma=wide, steps=2)
 
 
 class TestUpdateProperties:
     def test_confident_prior_is_untouched(self):
         plan = build_plan(DFT2, DFT2)
-        fn = make_channel_fn(1, ArrayGeometry(2), ArrayGeometry(2))
+        measure = observation_map(plan, 1, ArrayGeometry(2), ArrayGeometry(2))
         x = np.array([1.0, 0.5, 0.2, 0.0, -0.3, 0.0])
         prior = TrackerState(ChannelState(1, x), np.zeros((6, 6)))
         obs = Observation(y_real=np.ones(8), snr_rho=10.0, time_index=0)
-        post = update(prior, plan, obs, UkfParams(), channel_fn=fn)
+        post = update(prior, measure, obs, UkfParams())
         np.testing.assert_array_equal(post.x_hat.x, x)
         np.testing.assert_array_equal(post.R, np.zeros((6, 6)))
 
     def test_posterior_never_exceeds_prior(self):
         rng = np.random.default_rng(60)
         plan = build_plan(DFT2, DFT2)
-        fn = make_channel_fn(1, ArrayGeometry(2), ArrayGeometry(2))
+        measure = observation_map(plan, 1, ArrayGeometry(2), ArrayGeometry(2))
         for _ in range(5):
             x = rng.standard_normal(6) * 0.3
             R = random_psd(rng, 6)
             obs = Observation(y_real=rng.standard_normal(8), snr_rho=10.0,
                               time_index=0)
-            post = update(TrackerState(ChannelState(1, x), R), plan, obs,
-                          UkfParams(), channel_fn=fn)
+            post = update(TrackerState(ChannelState(1, x), R), measure, obs,
+                          UkfParams())
             gap = np.max(np.linalg.eigvalsh(post.R - R))
             assert gap <= 1e-9
 
@@ -323,7 +312,7 @@ class TestUpdateProperties:
             rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         )
         plan = build_plan(beams, beams)
-        fn = make_channel_fn(1, tx, rx)
+        measure = observation_map(plan, 1, tx, rx)
 
         truth = ChannelState.from_parts([1.0 + 0.5j], [0.4], [0.0], [-0.2], [0.0])
         h_true = np.concatenate(
@@ -340,36 +329,35 @@ class TestUpdateProperties:
         errs = [np.linalg.norm(ts.x_hat.x - truth.x)]
         for k in range(10):
             obs = observe(plan, h_true, rho, rng, time_index=k, noiseless=True)
-            ts = update(ts, plan, obs, UkfParams(), channel_fn=fn)
+            ts = update(ts, measure, obs, UkfParams())
             errs.append(np.linalg.norm(ts.x_hat.x - truth.x))
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 0.1 * errs[0]
 
-    def test_precomputed_stats_match_inline_path(self):
+    def test_precomputed_sigma_matches_inline_path(self):
         rng = np.random.default_rng(62)
         plan = build_plan(DFT2, DFT2)
-        fn = make_channel_fn(1, ArrayGeometry(2), ArrayGeometry(2))
+        measure = observation_map(plan, 1, ArrayGeometry(2), ArrayGeometry(2))
         x = rng.standard_normal(6) * 0.2
         R = random_psd(rng, 6)
         obs = Observation(y_real=rng.standard_normal(8), snr_rho=5.0, time_index=0)
         prior = TrackerState(ChannelState(1, x), R)
         sigma = sigma_points(x, R, UkfParams())
-        stats = channel_statistics(sigma, fn)
-        a = update(prior, plan, obs, UkfParams(), channel_fn=fn)
-        b = update(prior, plan, obs, UkfParams(), stats=stats)
+        a = update(prior, measure, obs, UkfParams())
+        b = update(prior, measure, obs, UkfParams(), sigma=sigma)
         np.testing.assert_array_equal(a.x_hat.x, b.x_hat.x)
         np.testing.assert_array_equal(a.R, b.R)
 
     def test_deterministic(self):
         rng_a = np.random.default_rng(63)
         plan = build_plan(DFT2, DFT2)
-        fn = make_channel_fn(1, ArrayGeometry(2), ArrayGeometry(2))
+        measure = observation_map(plan, 1, ArrayGeometry(2), ArrayGeometry(2))
         x = rng_a.standard_normal(6)
         R = random_psd(rng_a, 6)
         obs = Observation(y_real=rng_a.standard_normal(8), snr_rho=2.0, time_index=0)
         prior = TrackerState(ChannelState(1, x), R)
-        a = update(prior, plan, obs, UkfParams(), channel_fn=fn)
-        b = update(prior, plan, obs, UkfParams(), channel_fn=fn)
+        a = update(prior, measure, obs, UkfParams())
+        b = update(prior, measure, obs, UkfParams())
         np.testing.assert_array_equal(a.x_hat.x, b.x_hat.x)
         np.testing.assert_array_equal(a.R, b.R)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BeamtrackError, DimensionMismatch, SingularAngle
+from .errors import BadConfig, BeamtrackError, DimensionMismatch, SingularAngle
 
 __all__ = [
     "ArrayGeometry",
@@ -36,9 +36,9 @@ class ArrayGeometry:
 
     def __post_init__(self):
         if self.num_antennas < 1:
-            raise BeamtrackError(f"need at least one antenna, got {self.num_antennas}")
+            raise BadConfig(f"need at least one antenna, got {self.num_antennas}")
         if not self.d_over_lambda > 0:
-            raise BeamtrackError(f"d_over_lambda must be positive, got {self.d_over_lambda}")
+            raise BadConfig(f"d_over_lambda must be positive, got {self.d_over_lambda}")
 
 
 # State vector layout, for L paths (length 6L):

@@ -179,10 +179,29 @@ def load_cli_config(config_path: str | None, overrides=()) -> CliConfig:
 def _format_table(data: np.ndarray, fmt: list) -> str:
     """The text ``np.savetxt(fh, data, fmt=fmt, delimiter=",")`` writes.
 
-    One %-format over the whole table instead of one per row.
+    One %-format over the whole table instead of one per row.  A column
+    with fewer distinct values than half its rows (a run index, a time
+    repeated per path, an estimate held over a period) has each distinct
+    value formatted once and its text substituted with %s.  Values are told
+    apart by their bit patterns, so -0.0 and 0.0 keep their own text.
     """
-    row = ",".join(fmt) + "\n"
-    return (row * data.shape[0]) % tuple(data.ravel().tolist())
+    rows, cols = data.shape
+    cells = np.empty((rows, cols), dtype=object)
+    row_fmt = []
+    for j, spec in enumerate(fmt):
+        column = data[:, j]
+        _, first, inverse = np.unique(
+            column.view(np.int64), return_index=True, return_inverse=True
+        )
+        if 2 * first.size < rows:
+            text = np.array([spec % value for value in column[first].tolist()], dtype=object)
+            cells[:, j] = text[inverse]
+            row_fmt.append("%s")
+        else:
+            cells[:, j] = column
+            row_fmt.append(spec)
+    row = ",".join(row_fmt) + "\n"
+    return (row * rows) % tuple(cells.ravel().tolist())
 
 
 def _write_csv(path: str, columns: list, data: np.ndarray, fmt: list) -> None:

@@ -15,11 +15,11 @@ step by step through the fine-step transition, so the truth is bit-identical
 to one ``advance_truth`` call per step; the period ends early at the first
 state whose norm reaches ``DIVERGENCE_NORM``.  The metrics never form a
 channel matrix.  Each channel is kept in its rank-L factored form
-``a_R diag(g) a_T^H``: spectral gains and dominant beams come from reduced QRs
-of the steering factors and an SVD of the small core, beam gains are sums
-over paths, and the held estimate's predicted mean is in closed form.  Steps
-are processed ``BLOCK_ROWS`` at a time, which caps memory whatever the
-period length.
+``a_R diag(g) a_T^H``: spectral gains and dominant beams come from one reduced
+QR of the transmit steering factor and the eigenproblem of a Hermitian core
+at most L x L (see ``_channel_core``), beam gains are sums over paths, and the
+held estimate's predicted mean is in closed form.  Steps are processed
+``BLOCK_ROWS`` at a time, which caps memory whatever the period length.
 
 Runs are reproducible and order-independent: run ``i`` of a config seeds all
 of its randomness from ``SeedSequence([seed, i])``, with separate child
@@ -67,9 +67,24 @@ FILTER_PARAMS = UkfParams(eta=0.2)
 UPDATE_STEPS = 20
 
 # Fine steps whose metrics are computed together.  It bounds the stacked
-# steering factors and their QR and SVD work arrays, so a long coherence
-# period needs no more memory than a short one.
+# steering factors and their QR and eigensolver work arrays, so a long
+# coherence period needs no more memory than a short one.
 BLOCK_ROWS = 128
+
+
+# ScenarioConfig's float fields; each must be finite.
+_FLOAT_FIELDS = (
+    "rho_db",
+    "beta",
+    "T_S",
+    "frame_length",
+    "fine_step",
+    "sigma_vdot",
+    "init_pos_var",
+    "init_vel_var",
+    "init_gain_var",
+    "d_over_lambda",
+)
 
 
 @dataclass(frozen=True)
@@ -120,6 +135,18 @@ class ScenarioConfig:
     num_runs: int = 20
 
     def __post_init__(self):
+        object.__setattr__(self, "q_upsilon", tuple(float(q) for q in self.q_upsilon))
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise BadConfig(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(math.isfinite(q) for q in self.q_upsilon):
+            raise BadConfig(f"q_upsilon entries must be finite, got {self.q_upsilon}")
+        try:
+            rho = self.rho
+        except OverflowError:
+            rho = math.inf
+        if not 0.0 < rho < math.inf:
+            raise BadConfig(f"rho_db={self.rho_db} gives no positive finite SNR")
         for name in ("L", "M_T", "M_R", "N_T", "N_R", "num_runs"):
             if getattr(self, name) < 1:
                 raise BadConfig(f"{name} must be at least 1")
@@ -139,7 +166,21 @@ class ScenarioConfig:
         for name in ("init_pos_var", "init_vel_var", "init_gain_var", "sigma_vdot"):
             if getattr(self, name) < 0.0:
                 raise BadConfig(f"{name} must be nonnegative")
-        object.__setattr__(self, "q_upsilon", tuple(float(q) for q in self.q_upsilon))
+        self.dynamics()
+        self.arrays()
+
+    def dynamics(self) -> DynamicsModel:
+        """The state-evolution model; building it checks beta and q_upsilon."""
+        return DynamicsModel(
+            L=self.L, beta=self.beta, T_S=self.T_S, q_upsilon=np.array(self.q_upsilon)
+        )
+
+    def arrays(self) -> tuple[ArrayGeometry, ArrayGeometry]:
+        """The transmit and receive arrays; building them checks d_over_lambda."""
+        return (
+            ArrayGeometry(self.M_T, self.d_over_lambda),
+            ArrayGeometry(self.M_R, self.d_over_lambda),
+        )
 
     @property
     def rho(self) -> float:
@@ -252,48 +293,61 @@ def _dense_factors(H: np.ndarray):
     return np.ones(H.shape[1]), np.eye(H.shape[1]), H
 
 
-def _channel_core(gains, a_t, a_r):
-    """Orthonormal bases and core of channels ``a_r @ diag(gains) @ a_t^H``.
+def _channel_core(gains, r_t, a_r) -> tuple[np.ndarray, np.ndarray]:
+    """``C = H q_t`` and the Hermitian core ``C^H C`` of factored channels.
 
-    Works on stacks (leading axes) of factors.  With reduced QRs
-    ``a_t = q_t r_t`` and ``a_r = q_r r_r`` the channel is
-    ``q_r @ core @ q_t^H``, where ``core = r_r diag(gains) r_t^H`` is at most
-    min(M_R, L) x min(M_T, L).  The channel and its core therefore share
-    their singular values, and q_r, q_t map the core's singular vectors to
-    the channel's.
+    Works on stacks (leading axes) of factors.  With the reduced QR
+    ``a_t = q_t r_t`` of the transmit factor, the channel
+    ``H = a_r diag(gains) a_t^H`` is ``C q_t^H`` with
+    ``C = a_r diag(gains) r_t^H``, so ``H^H H = q_t (C^H C) q_t^H`` exactly.
+    The core ``C^H C = r_t diag(conj(gains)) (a_r^H a_r) diag(gains) r_t^H``
+    is min(M_T, L) square; its eigenvalues are the channel's squared
+    singular values, and q_t maps its eigenvectors to the channel's right
+    singular vectors, whatever the rank of a_t or a_r.  No steering Gram
+    matrix is factored, so coincident paths, which make one singular, are
+    no special case.
     """
-    q_t, r_t = np.linalg.qr(a_t)
-    q_r, r_r = np.linalg.qr(a_r)
-    core = (r_r * gains[..., None, :]) @ np.swapaxes(r_t, -1, -2).conj()
-    return q_t, core, q_r
+    c = a_r @ (gains[..., :, None] * np.swapaxes(r_t, -1, -2).conj())
+    return c, np.swapaxes(c, -1, -2).conj() @ c
 
 
 def _spectral_gains(gains, a_t, a_r) -> np.ndarray:
-    """Squared spectral norm of each factored channel."""
-    _, core, _ = _channel_core(gains, a_t, a_r)
-    return np.linalg.svd(core, compute_uv=False)[..., 0] ** 2
+    """Squared spectral norm of each factored channel: its core's top eigenvalue."""
+    _, core = _channel_core(gains, np.linalg.qr(a_t, mode="r"), a_r)
+    return np.linalg.eigvalsh(core)[..., -1]
 
 
 def _dominant_beams(gains, a_t, a_r) -> tuple[np.ndarray, np.ndarray]:
-    """Dominant right/left singular vectors (f, z) of each factored channel."""
-    q_t, core, q_r = _channel_core(gains, a_t, a_r)
-    u, s, vh = np.linalg.svd(core)
-    if np.any(s[..., 0] <= 0.0):
+    """Dominant right/left singular vectors (f, z) of each factored channel.
+
+    With v the core's top eigenvector, ``f = q_t v`` and ``z = H f / |H f|``,
+    where ``H f = a_r (gains * a_t^H f) = C v``.
+    """
+    q_t, r_t = np.linalg.qr(a_t)
+    c, core = _channel_core(gains, r_t, a_r)
+    w, v = np.linalg.eigh(core)
+    if np.any(w[..., -1] <= 0.0):
         raise ZeroChannel("cannot pick beams for an all-zero channel estimate")
-    f = q_t @ vh[..., 0, :, None].conj()
-    z = q_r @ u[..., :, :1]
-    return f[..., 0], z[..., 0]
+    top = v[..., -1:]
+    f = (q_t @ top)[..., 0]
+    hf = (c @ top)[..., 0]
+    return f, hf / np.linalg.norm(hf, axis=-1, keepdims=True)
+
+
+def _row_product(v, a) -> np.ndarray:
+    """``v^T a`` for each matrix of a stack; v is shared or given per matrix."""
+    return (v[..., None, :] @ a)[..., 0, :]
 
 
 def _beam_gains(gains, a_t, a_r, f, z) -> np.ndarray:
     """``|z^H H f|^2`` of each factored channel, as a sum over its paths.
 
-    ``z^H H f = sum_l (z^H a_r[:, l]) gains[l] (a_t[:, l]^H f)``; the beams
-    f and z may be shared by the whole stack or given per channel.
+    ``z^H H f = sum_l (z^H a_r[:, l]) gains[l] conj(f^H a_t[:, l])``; the
+    beams f and z may be shared by the whole stack or given per channel.
     """
-    z_r = np.einsum("...m,...ml->...l", z.conj(), a_r)
-    t_f = np.einsum("...ml,...m->...l", a_t.conj(), f)
-    return np.abs(np.sum(z_r * gains * t_f, axis=-1)) ** 2
+    z_r = _row_product(z.conj(), a_r)
+    f_t = _row_product(f.conj(), a_t)
+    return np.abs(np.sum(z_r * gains * f_t.conj(), axis=-1)) ** 2
 
 
 def beamformers_from_estimate(H_est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -378,11 +432,8 @@ def _period_metrics(rec, start, X, x_held, x_oneshot, model, tx, rx) -> None:
 def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
     """Simulates one frame: truth evolution, periodic sounding, tracking, metrics."""
     rho = cfg.rho
-    tx = ArrayGeometry(cfg.M_T, cfg.d_over_lambda)
-    rx = ArrayGeometry(cfg.M_R, cfg.d_over_lambda)
-    model = DynamicsModel(
-        L=cfg.L, beta=cfg.beta, T_S=cfg.T_S, q_upsilon=np.array(cfg.q_upsilon)
-    )
+    tx, rx = cfg.arrays()
+    model = cfg.dynamics()
     tp_fine = build_transition(model, cfg.fine_step)
     tp_obs = build_transition(model, cfg.T_S)
     params = FILTER_PARAMS

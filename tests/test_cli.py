@@ -199,6 +199,27 @@ class TestSimulateCommand:
         assert cmd_simulate(None, small_overrides(tmp_path, "L=zero")) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "fine_step=nan",
+            "T_S=inf",
+            "rho_db=nan",
+            "rho_db=1e10",
+            "beta=1.5",
+            "q_upsilon=1,2,3",
+            "d_over_lambda=0",
+            "init_pos_var=inf",
+            "sigma_vdot=nan",
+        ],
+    )
+    def test_bad_scenario_value_exits_1_before_writing(self, tmp_path, capsys, setting):
+        out = tmp_path / "results"
+        assert cmd_simulate(None, SMALL + [f"output_dir={out}", setting]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unusable_output_dir_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -240,6 +261,18 @@ class TestFormatTable:
         data[4, 3] = -np.inf
         data[5, 4] = -0.0
         fmt = ["%d", "%.10e", "%d", "%.10e", "%.10e", "%.10e"]
+        want = io.StringIO()
+        np.savetxt(want, data, fmt=fmt, delimiter=",")
+        assert _format_table(data, fmt) == want.getvalue()
+
+    def test_repeated_values_keep_their_own_text(self):
+        # Columns with few distinct values take the format-once path; 0.0
+        # and -0.0 compare equal but print differently.
+        held = np.array([0.0, -0.0, np.nan, -np.inf, 1.5e-7])
+        data = np.column_stack(
+            [np.repeat(held, 8), np.tile(held, 8), np.arange(40) * 0.25]
+        )
+        fmt = ["%.10e", "%.3f", "%d"]
         want = io.StringIO()
         np.savetxt(want, data, fmt=fmt, delimiter=",")
         assert _format_table(data, fmt) == want.getvalue()

@@ -11,7 +11,13 @@ import pytest
 
 import beamtrack.sounding
 from beamtrack.beams import design_beams
-from beamtrack.channel import ArrayGeometry, ChannelState, channel_matrix, steering_vector
+from beamtrack.channel import (
+    ArrayGeometry,
+    ChannelState,
+    channel_matrix,
+    steering_factors,
+    steering_vector,
+)
 from beamtrack.dynamics import DynamicsModel, advance_truth, build_transition
 from beamtrack.errors import BadConfig, EmptyInput, ZeroChannel
 from beamtrack.simulate import (
@@ -21,7 +27,10 @@ from beamtrack.simulate import (
     RunRecord,
     ScenarioConfig,
     _BLAS_THREAD_VARS,
+    _beam_gains,
+    _dominant_beams,
     _noisy_estimate,
+    _spectral_gains,
     aggregate_runs,
     generate_scenario,
     run_frame,
@@ -271,6 +280,86 @@ class TestSnrLossRatio:
             snr_loss_ratio(np.zeros((4, 4)), H)
         with pytest.raises(ZeroChannel):
             snr_loss_ratio(H, np.zeros((4, 4)))
+
+
+def path_factors(nu_t, nu_r, gains, M_T, M_R):
+    """A one-channel stack of factors for paths at the given spatial angles."""
+    a_t = np.stack([steering_vector(nu, M_T) for nu in nu_t], axis=-1)
+    a_r = np.stack([steering_vector(nu, M_R) for nu in nu_r], axis=-1)
+    return np.asarray(gains, dtype=complex)[None], a_t[None], a_r[None]
+
+
+def _random_gains(rng, L):
+    return rng.standard_normal(L) + 1j * rng.standard_normal(L)
+
+
+_G = _random_gains(np.random.default_rng(20), 2)
+_R = np.random.default_rng(21)
+CORE_STACKS = {
+    # a_t has rank one: its QR has a zero on the diagonal of r_t
+    "one-tx-angle": path_factors([0.1, 0.1], [0.2, -0.3], _G, 8, 8),
+    # nu = +1/2 and -1/2 give the same steering vector on both sides
+    "nu-plus-minus-half": path_factors(
+        [0.5, -0.5, 0.2], [-0.5, 0.5, 0.1], np.r_[_G, 0.3j], 8, 8
+    ),
+    # g and -g on paths 1e-9 apart: the channel is 1e-7 of its path sum
+    "cancelling-gains": path_factors(
+        [0.1, 0.1 + 1e-9], [0.2, 0.2 + 1e-9], [_G[0], -_G[0]], 8, 8
+    ),
+    "L-above-M": path_factors(
+        _R.uniform(-0.5, 0.5, 6), _R.uniform(-0.5, 0.5, 6), _random_gains(_R, 6), 4, 4
+    ),
+    "L-one": path_factors([0.3], [-0.1], [0.5 - 1.0j], 8, 6),
+}
+
+
+class TestChannelCore:
+    """The factored kernels against a dense SVD of the formed channel."""
+
+    @pytest.mark.parametrize("name", list(CORE_STACKS))
+    def test_matches_dense_svd(self, name):
+        gains, a_t, a_r = CORE_STACKS[name]
+        H = a_r[0] @ np.diag(gains[0]) @ a_t[0].conj().T
+        u, s, vh = np.linalg.svd(H)
+        # Rounding in the factors is relative to the path sum, which bounds
+        # the spectral norm; where paths cancel, the channel is defined only
+        # to that scale.  Elsewhere the path sum is within a small factor of
+        # s[0].
+        path_norms = np.linalg.norm(a_t[0], axis=0) * np.linalg.norm(a_r[0], axis=0)
+        scale = np.sum(np.abs(gains[0]) * path_norms)
+        tol = 1e-12 * scale
+        spectral = _spectral_gains(gains, a_t, a_r)
+        assert spectral.shape == (1,)
+        assert abs(np.sqrt(spectral[0]) - s[0]) <= tol
+        if name != "cancelling-gains":
+            assert abs(spectral[0] / s[0] ** 2 - 1.0) <= 1e-12
+        f, z = (beam[0] for beam in _dominant_beams(gains, a_t, a_r))
+        np.testing.assert_allclose([np.linalg.norm(f), np.linalg.norm(z)], 1.0, rtol=1e-12)
+        # (s[0], z, f) is a singular triplet of H to within rounding.
+        assert np.linalg.norm(H @ f - s[0] * z) <= tol
+        assert np.linalg.norm(H.conj().T @ z - s[0] * f) <= tol
+        achieved = np.sqrt(_beam_gains(gains, a_t, a_r, f, z)[0])
+        assert abs(achieved - abs(z.conj() @ H @ f)) <= tol
+        assert abs(achieved - s[0]) <= tol
+
+    def test_random_channels_lose_no_gain(self):
+        # The "loss <= 0 dB" property: no beam pair captures more than the
+        # spectral gain, including the channel's own dominant pair.
+        rng = np.random.default_rng(22)
+        L, geom = 4, ArrayGeometry(16)
+        X = rng.standard_normal((10_000, 6 * L))
+        true = steering_factors(X, L, geom, geom)
+        spectral = _spectral_gains(*true)
+        X_est = X + 0.05 * rng.standard_normal(X.shape)
+        for f, z in (
+            _dominant_beams(*true),
+            _dominant_beams(*steering_factors(X_est, L, geom, geom)),
+        ):
+            ratio = _beam_gains(*true, f, z) / spectral
+            assert np.all(ratio <= 1.0 + 1e-12)
+            assert np.all(ratio >= 0.0)
+        own = _beam_gains(*true, *_dominant_beams(*true)) / spectral
+        np.testing.assert_allclose(own, 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestRunFrame:

@@ -16,6 +16,7 @@ from beamtrack import (
     baseline_beams,
     build_plan,
     channel_matrix,
+    noiseless_measurement,
     observe,
     real_channel_vector,
 )
@@ -40,7 +41,7 @@ Z = baseline_beams("dft_grid", 16, 6)
 plan = build_plan(F, Z)
 
 # --- 1. the stacked-real operator reproduces z^H H f pair by pair ----------
-y_clean = observe(plan, h, rho=10.0, rng=rng, noiseless=True).y_real
+y_clean = noiseless_measurement(plan, h)
 n_pairs = 36
 direct = np.array([
     Z[:, j].conj() @ H @ F[:, i] for i in range(6) for j in range(6)

@@ -68,9 +68,9 @@ for k in range(cfg.num_observations):
     # Design this period's beams from the predicted statistics, then sound.
     sigma = sigma_points(ts.x_hat.x, ts.R, params)
     stats = channel_statistics(sigma, channel_fn)
-    design = design_beams(ts, tx, rx, params, cfg.rho, cfg.N_T, cfg.N_R, stats=stats)
+    design = design_beams(stats, tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
     plan = build_plan(design.F, design.Z)
-    obs = observe(plan, channel_fn(truth.x[None])[0], cfg.rho, rng, time_index=k)
+    obs = observe(plan, channel_fn(truth.x[None])[0], cfg.rho, rng)
     innovation = float(np.linalg.norm(obs.y_real - noiseless_measurement(plan, stats.h_hat)))
     measure = observation_map(plan, cfg.L, tx, rx)
     ts = update(ts, measure, obs, params, sigma=sigma)

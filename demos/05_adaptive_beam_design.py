@@ -49,7 +49,7 @@ def trace_reduction(F, Z):
     post = update(prior, observation_map(plan, cfg.L, tx, rx), obs, params, sigma=sigma)
     return float(np.trace(prior.R) - np.trace(post.R))
 
-design = design_beams(prior, tx, rx, params, cfg.rho, cfg.N_T, cfg.N_R, stats=stats)
+design = design_beams(stats, tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
 rng_beams = np.random.default_rng(1)
 
 print("prior trace(R):", f"{np.trace(prior.R):.6e}")
@@ -73,7 +73,7 @@ for i in range(trials):
     sigma = sigma_points(prior.x_hat.x, prior.R, params)
     stats = channel_statistics(sigma, channel_fn)
     h_true = channel_fn(truth.x[None])[0]
-    design = design_beams(prior, tx, rx, params, cfg.rho, cfg.N_T, cfg.N_R, stats=stats)
+    design = design_beams(stats, tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
     r_adaptive = trace_reduction(design.F, design.Z)
     r_random = trace_reduction(
         baseline_beams("random_unit", 16, 6, rng=rng_beams),

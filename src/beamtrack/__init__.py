@@ -80,7 +80,6 @@ from .tracker import (
     TrackerState,
     UkfParams,
     channel_statistics,
-    forward_predict_channel,
     make_channel_fn,
     predict,
     sigma_points,
@@ -118,7 +117,6 @@ __all__ = [
     "channel_matrix",
     "channel_statistics",
     "design_beams",
-    "forward_predict_channel",
     "generalized_eig_sym",
     "generate_scenario",
     "kron_rearrange",

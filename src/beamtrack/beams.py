@@ -12,6 +12,11 @@ deterministic DFT grid fills beam slots that no signal direction reaches,
 acts as the fallback whenever the statistics carry no usable information,
 and serves as the non-adaptive control arm.
 
+``design_beams`` takes the prior's sigma statistics as the tracker computed
+them, so this module draws no sigma points of its own, and weights every
+state component equally.  Other weights and dense covariances go through
+``BeamDesignInput`` and ``unconstrained_optimal_directions`` directly.
+
 The pencil is solved in the sigma-point subspace.  The channel covariance
 comes factored as Pi = F Omega F^T; from sigma statistics F = D^T holds the
 2n+1 sigma deviations and Omega = diag(w_cov).  So B = Pi + I/(2 rho) is a
@@ -35,7 +40,7 @@ from .errors import (
     SingularB,
 )
 from .numerics import KroneckerFactorDims, kron_rearrange, rank_one_factor, unvec
-from .tracker import ChannelStats, TrackerState, UkfParams, channel_statistics, make_channel_fn, sigma_points
+from .tracker import ChannelStats
 
 # Relative eigenvalue floor separating signal directions from round-off.
 SIGNAL_RTOL = 1e-9
@@ -47,36 +52,26 @@ class BeamDesignInput:
 
     Attributes:
         R_xh: State-to-channel cross-covariance, 6L x 2*M_R*M_T.
-        Pi_hat: Channel covariance from the sigma transform, either dense
-            (m x m, symmetric) or as a pair (F, Omega) with Pi_hat =
-            F Omega F^T, F of shape m x k and Omega k x k symmetric.
-        W: Per-state-component weights (diagonal entries), strictly positive.
+        Pi_factors: The channel covariance from the sigma transform as a pair
+            (F, Omega) with Pi_hat = F Omega F^T, F of shape m x k and Omega
+            k x k symmetric; a dense Pi_hat is the pair (I, Pi_hat).
+        W: Per-state-component weights, a vector of strictly positive entries.
         rho: Linear SNR of the upcoming sounding.
         num_tx_beams: Transmit beam count N_T.
         num_rx_beams: Receive beam count N_R.
-        Pi_factors: The pair (F, Omega); a dense Pi_hat is (I, Pi_hat).
     """
 
     R_xh: np.ndarray
-    Pi_hat: np.ndarray | tuple[np.ndarray, np.ndarray]
+    Pi_factors: tuple[np.ndarray, np.ndarray]
     W: np.ndarray
     rho: float
     num_tx_beams: int
     num_rx_beams: int
-    Pi_factors: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         R_xh = np.asarray(self.R_xh, dtype=float)
-        dense = not isinstance(self.Pi_hat, tuple)
-        if dense:
-            F, Omega = np.eye(R_xh.shape[1]), np.asarray(self.Pi_hat, dtype=float)
-        else:
-            F, Omega = (np.asarray(a, dtype=float) for a in self.Pi_hat)
+        F, Omega = (np.asarray(a, dtype=float) for a in self.Pi_factors)
         W = np.asarray(self.W, dtype=float)
-        if W.ndim == 2:
-            if np.count_nonzero(W - np.diag(np.diagonal(W))):
-                raise BadConfig("weight matrix must be diagonal")
-            W = np.diagonal(W).copy()
         if W.shape != (R_xh.shape[0],):
             raise DimensionMismatch(
                 f"weights have shape {W.shape}, expected ({R_xh.shape[0]},)"
@@ -96,8 +91,6 @@ class BeamDesignInput:
         if self.num_tx_beams < 1 or self.num_rx_beams < 1:
             raise BadBeamCount("need at least one beam per side")
         object.__setattr__(self, "R_xh", R_xh)
-        if dense:
-            object.__setattr__(self, "Pi_hat", Omega)
         object.__setattr__(self, "Pi_factors", (F, Omega))
         object.__setattr__(self, "W", W)
 
@@ -135,7 +128,7 @@ def unconstrained_optimal_directions(
 
     exactly, for any U.  B is positive definite exactly when M is, which a
     Cholesky factorization of M checks.  For sigma statistics k is 2n+1; a
-    dense Pi_hat is the case F = I, k = m.
+    dense Pi_hat is the pair (I, Pi_hat), k = m.
     """
     n_dirs = inp.num_tx_beams * inp.num_rx_beams
     U = inp.R_xh.T / np.sqrt(inp.W)
@@ -197,8 +190,9 @@ def beams_from_directions(
     slots as zero.  Groups share no beam, so their fits are independent; one
     fit over the whole grid would keep only the strongest group.  A beam that
     no signal direction reaches takes the DFT grid column (see
-    ``_normalized_columns``).  The reported residual is the groups'
-    energy-weighted relative rank-one residual.
+    ``_normalized_columns``).  The output carries ``eigvals`` as its
+    eigenvalues, and its residual is the groups' energy-weighted relative
+    rank-one residual.
     """
     rank = signal_rank(eigvals)
     slots = _slot_order(dims.n1, dims.n2)[:rank]
@@ -225,6 +219,7 @@ def beams_from_directions(
     return BeamDesignOutput(
         F=_normalized_columns(F, dims.m1),
         Z=_normalized_columns(Z, dims.m2),
+        eigenvalues=np.asarray(eigvals, dtype=float),
         rank_one_residual=float(np.sqrt(residual / energy)) if energy else 0.0,
     )
 
@@ -324,50 +319,39 @@ def _normalized_columns(B: np.ndarray, M: int) -> np.ndarray:
 
 
 def design_beams(
-    prior: TrackerState,
+    stats: ChannelStats,
     tx: ArrayGeometry,
     rx: ArrayGeometry,
-    params: UkfParams,
     rho: float,
     num_tx_beams: int,
     num_rx_beams: int,
-    W: np.ndarray | None = None,
-    stats: ChannelStats | None = None,
 ) -> BeamDesignOutput:
-    """Designs the next sounding beams from the predicted tracker state.
+    """Designs the next sounding beams from the prior's channel statistics.
 
     Args:
-        prior: Predicted (pre-observation) tracker state.
+        stats: Sigma statistics of the predicted (pre-observation) state
+            pushed through the stacked-real channel map; the measurement
+            update reuses the same sigma points.
         tx: Transmit array geometry.
         rx: Receive array geometry.
-        params: Sigma-point parameters used for the channel statistics.
         rho: Linear SNR of the upcoming sounding.
         num_tx_beams: Transmit beam count.
         num_rx_beams: Receive beam count.
-        W: Optional per-component weights (defaults to uniform).
-        stats: Optional precomputed prior sigma statistics, to share work
-            with the subsequent measurement update.
 
     Returns:
-        BeamDesignOutput; falls back to the DFT grid when the statistics are
-        degenerate (nothing to aim at), with used_fallback set.
+        BeamDesignOutput, with every state component weighted equally; falls
+        back to the DFT grid when the statistics are degenerate (nothing to
+        aim at), with used_fallback set.
     """
-    n = prior.x_hat.x.shape[0]
-    if stats is None:
-        sigma = sigma_points(prior.x_hat.x, prior.R, params)
-        stats = channel_statistics(sigma, make_channel_fn(prior.x_hat.L, tx, rx))
-    if W is None:
-        W = np.ones(n)
     dims = KroneckerFactorDims(
         tx.num_antennas, num_tx_beams, rx.num_antennas, num_rx_beams
     )
-
     if np.linalg.norm(stats.R_xh) <= 1e-12:
         return _fallback(dims)
     inp = BeamDesignInput(
         R_xh=stats.R_xh,
-        Pi_hat=(stats.D.T, np.diag(stats.w_cov)),
-        W=W,
+        Pi_factors=(stats.D.T, np.diag(stats.w_cov)),
+        W=np.ones(stats.R_xh.shape[0]),
         rho=rho,
         num_tx_beams=num_tx_beams,
         num_rx_beams=num_rx_beams,
@@ -375,14 +359,7 @@ def design_beams(
     V_real, eigvals = unconstrained_optimal_directions(inp)
     if eigvals[0] < 1e-12:
         return _fallback(dims)
-    out = beams_from_directions(V_real, eigvals, dims)
-    return BeamDesignOutput(
-        F=out.F,
-        Z=out.Z,
-        eigenvalues=eigvals,
-        rank_one_residual=out.rank_one_residual,
-        used_fallback=False,
-    )
+    return beams_from_directions(V_real, eigvals, dims)
 
 
 def _fallback(dims: KroneckerFactorDims) -> BeamDesignOutput:

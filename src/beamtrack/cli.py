@@ -403,11 +403,11 @@ def check_ukf_matches_kf(fault: float = 0.0) -> float:
     ts = TrackerState(ChannelState(1, np.zeros(6)), np.eye(6))
     x_kf, R_kf = np.zeros(6), np.eye(6)
     worst = 0.0
-    for k in range(100):
+    for _ in range(100):
         ts = predict(ts, tp)
         x_kf, R_kf = tp.A @ x_kf, tp.A @ R_kf @ tp.A.T + tp.Q
         y_vec = rng.standard_normal(8)
-        obs = Observation(y_real=y_vec, snr_rho=rho, time_index=k)
+        obs = Observation(y_real=y_vec, snr_rho=rho)
         sigma = _faulted(sigma_points(ts.x_hat.x, ts.R, params), fault)
         ts = update(ts, measure, obs, params, sigma=sigma)
         x_kf, R_kf = _kalman_update(x_kf, R_kf, H, y_vec, 1.0 / (2.0 * rho))

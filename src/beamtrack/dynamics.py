@@ -61,7 +61,6 @@ class TransitionPair:
 
     A: np.ndarray
     Q: np.ndarray
-    dt: float
 
 
 def build_transition(model: DynamicsModel, dt: float) -> TransitionPair:
@@ -90,7 +89,7 @@ def build_transition(model: DynamicsModel, dt: float) -> TransitionPair:
     q_diag = np.empty(6 * L)
     q_diag[: 2 * L] = (1.0 - beta_dt**2) / 2.0
     q_diag[2 * L :] = np.tile(ratio * model.q_upsilon, 2 * L)
-    return TransitionPair(A=A, Q=np.diag(q_diag), dt=dt)
+    return TransitionPair(A=A, Q=np.diag(q_diag))
 
 
 def _check_state(x: ChannelState, tp: TransitionPair) -> None:

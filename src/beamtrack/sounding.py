@@ -6,11 +6,13 @@ linear operator ``G = F^T kron Z^H`` acting on ``vec(H)``.  Everything
 downstream works with the stacked-real form, where receiver noise is i.i.d.
 Gaussian with variance ``1 / (2 rho)`` per real component.
 
-The run path never forms ``G``.  Measurements are taken as ``Z^H H F``, and
-the filter's map from states to measurements works on the rank-L steering
-factors of ``H = a_R diag(g) a_T^H``: ``(Z^H a_R) diag(g) (a_T^H F)``, an
-N_R x L by L x N_T product per state (see ``observation_map``).  ``G`` and
-its stacked-real form are built on demand for cross-checks.
+The run path never forms ``G``.  There are two measurement maps, one per
+consumer.  The truth is measured densely as ``Z^H H F`` by
+``noiseless_measurement``, to which ``observe`` adds the noise.  The filter's
+map from states to measurements works on the rank-L steering factors of
+``H = a_R diag(g) a_T^H``: ``(Z^H a_R) diag(g) (a_T^H F)``, an N_R x L by
+L x N_T product per state (see ``observation_map``).  ``G`` and its
+stacked-real form are built on demand for cross-checks.
 """
 
 from __future__ import annotations
@@ -59,11 +61,10 @@ class SoundingPlan:
 
 @dataclass(frozen=True)
 class Observation:
-    """One stacked-real measurement taken at time index k."""
+    """One stacked-real measurement and the linear SNR it was taken at."""
 
     y_real: np.ndarray
     snr_rho: float
-    time_index: int
 
 
 def _checked_beams(B: np.ndarray, name: str) -> np.ndarray:
@@ -129,8 +130,6 @@ def observe(
     h_real: np.ndarray,
     rho: float,
     rng: np.random.Generator,
-    time_index: int = 0,
-    noiseless: bool = False,
 ) -> Observation:
     """Measures a stacked-real channel vector through the plan's beams.
 
@@ -139,8 +138,6 @@ def observe(
         h_real: Stacked-real channel vector [Re vec H; Im vec H].
         rho: Linear SNR; each real noise component has variance 1/(2 rho).
         rng: Noise source.
-        time_index: Index stored on the observation.
-        noiseless: Skip the noise draw (infinite-SNR limit).
 
     Returns:
         Observation with y = vec(Z^H H F), stacked real, plus noise.
@@ -148,13 +145,16 @@ def observe(
     if rho <= 0.0:
         raise NonpositiveSnr(f"snr must be positive, got {rho}")
     y = noiseless_measurement(plan, h_real)
-    if not noiseless:
-        y = y + rng.standard_normal(y.shape[0]) / np.sqrt(2.0 * rho)
-    return Observation(y_real=y, snr_rho=rho, time_index=time_index)
+    y = y + rng.standard_normal(y.shape[0]) / np.sqrt(2.0 * rho)
+    return Observation(y_real=y, snr_rho=rho)
 
 
 def noiseless_measurement(plan: SoundingPlan, h_real: np.ndarray) -> np.ndarray:
-    """The stacked-real measurement ``G h`` of a stacked-real channel, without noise."""
+    """The stacked-real measurement ``G h`` of a stacked-real channel, without noise.
+
+    Computed densely as ``vec(Z^H H F)``, stacked real, from the channel
+    matrix H that ``h_real`` = [Re vec H; Im vec H] holds.
+    """
     h_real = np.asarray(h_real, dtype=float)
     M_R, M_T = plan.Z.shape[0], plan.F.shape[0]
     n = M_R * M_T
@@ -162,19 +162,6 @@ def noiseless_measurement(plan: SoundingPlan, h_real: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"channel vector has shape {h_real.shape}, expected ({2 * n},)"
         )
-    return stack_response(plan, unvec(h_real[:n] + 1j * h_real[n:], M_R, M_T))
-
-
-def noiseless_response(plan: SoundingPlan, H: np.ndarray) -> np.ndarray:
-    """Returns the beam-space response Z^H H F of a complex channel matrix."""
-    H = np.asarray(H, dtype=complex)
-    expected = (plan.Z.shape[0], plan.F.shape[0])
-    if H.shape != expected:
-        raise DimensionMismatch(f"channel has shape {H.shape}, expected {expected}")
-    return plan.Z.conj().T @ H @ plan.F
-
-
-def stack_response(plan: SoundingPlan, H: np.ndarray) -> np.ndarray:
-    """Stacked-real vectorization of noiseless_response."""
-    resp = vec(noiseless_response(plan, H))
-    return np.concatenate([resp.real, resp.imag])
+    H = unvec(h_real[:n] + 1j * h_real[n:], M_R, M_T)
+    y = vec(plan.Z.conj().T @ H @ plan.F)
+    return np.concatenate([y.real, y.imag])

@@ -7,10 +7,12 @@ sample statistics stand in for the Jacobians an extended filter would need.
 Both process and measurement noise enter additively, so no state augmentation
 is required.
 
-Sigma statistics are exposed separately (``channel_statistics``) because beam
-design consumes the prior's channel moments before the beams, and so the
-measurement map, exist.  The update can take the same prior sigma points, so
-the covariance root is computed once per period.
+One period of the loop calls ``predict``, then ``sigma_points`` and
+``channel_statistics`` on the prior (beam design consumes the prior's channel
+moments before the beams, and so the measurement map, exist), and finally
+``update`` with the same prior sigma points, so the covariance root is
+computed once per period.  The measurement noise comes from the observation's
+own SNR.
 
 The channel covariance is kept factored.  With 2n+1 sigma points and their
 deviations ``D`` from the mean channel (one row per point), the covariance is
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayGeometry, ChannelState, channel_matrix, real_channel_vectors
-from .dynamics import DynamicsModel, TransitionPair, advance_covariance, predicted_mean
+from .channel import ArrayGeometry, ChannelState, real_channel_vectors
+from .dynamics import TransitionPair, advance_covariance
 from .errors import (
     BadScaling,
     DimensionMismatch,
@@ -44,6 +46,13 @@ from .errors import (
 from .numerics import matrix_sqrt_psd
 from .sounding import Observation
 
+# Fixed constants of the scaled unscented transform: the secondary scaling
+# kappa, which enters lambda = eta^2 (n + kappa) - n, and the prior-
+# distribution parameter mu, which enters only the zeroth covariance weight
+# (2 is optimal for a Gaussian prior).
+KAPPA = 0.0
+MU = 2.0
+
 
 @dataclass(frozen=True)
 class UkfParams:
@@ -51,25 +60,20 @@ class UkfParams:
 
     Attributes:
         eta: Spread of the sigma points around the mean.
-        kappa: Secondary scaling parameter.
-        mu: Distribution parameter entering only the zeroth covariance weight.
     """
 
     eta: float = 1e-3
-    kappa: float = 0.0
-    mu: float = 2.0
 
     def lam(self, dim: int) -> float:
-        return self.eta**2 * (dim + self.kappa) - dim
+        return self.eta**2 * (dim + KAPPA) - dim
 
 
 @dataclass(frozen=True)
 class TrackerState:
-    """Filter mean, covariance, and the index of the last processed block."""
+    """Filter mean and covariance."""
 
     x_hat: ChannelState
     R: np.ndarray
-    k: int = 0
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def _sigma_set(x_hat: np.ndarray, root: np.ndarray, params: UkfParams) -> SigmaS
     w_mean = np.full(2 * n + 1, 1.0 / (2.0 * scale))
     w_mean[0] = lam / scale
     w_cov = w_mean.copy()
-    w_cov[0] += 1.0 - params.eta**2 + params.mu
+    w_cov[0] += 1.0 - params.eta**2 + MU
     return SigmaSet(points=points, w_mean=w_mean, w_cov=w_cov)
 
 
@@ -209,7 +213,7 @@ def predict(ts: TrackerState, tp: TransitionPair) -> TrackerState:
         )
     x_new = tp.A @ ts.x_hat.x
     R_new = advance_covariance(ts.R, tp)
-    return TrackerState(x_hat=ChannelState(ts.x_hat.L, x_new), R=R_new, k=ts.k + 1)
+    return TrackerState(x_hat=ChannelState(ts.x_hat.L, x_new), R=R_new)
 
 
 def update(
@@ -217,7 +221,6 @@ def update(
     measure,
     y: Observation,
     params: UkfParams,
-    rho: float | None = None,
     sigma: SigmaSet | None = None,
     steps: int = 1,
 ) -> TrackerState:
@@ -228,8 +231,8 @@ def update(
     its measurement-splitting form).  The same measurement is applied N
     times.  Step i (counting from 0) carries the fraction
     ``2**i / (2**N - 1)`` of its information, i.e. noise variance
-    ``1 / (2 rho fraction)``.  The sigma statistics are recomputed at every
-    partial posterior.  The fractions sum to one, so on a linear map the
+    ``1 / (2 rho fraction)`` at the observation's SNR rho.  The sigma
+    statistics are recomputed at every partial posterior.  The fractions sum to one, so on a linear map the
     result equals the Kalman update exactly.  On the nonlinear map the
     first steps add far less information than the prior holds, so the
     estimate moves while the sigma points still span the prior, and each
@@ -248,9 +251,8 @@ def update(
         prior: Predicted state before seeing the measurement.
         measure: Batched map from (P, n) states to their (P, len(y))
             noiseless stacked-real measurements.
-        y: Stacked-real measurement.
+        y: Stacked-real measurement and its linear SNR.
         params: Sigma-point scaling parameters.
-        rho: Linear SNR; defaults to the observation's own snr_rho.
         sigma: Sigma points of the prior, if already drawn for beam design;
             they serve the first step.
         steps: Number of partial updates; 1 is the single-pass update.
@@ -258,8 +260,6 @@ def update(
     Returns:
         Posterior TrackerState with conditioned covariance.
     """
-    if rho is None:
-        rho = y.snr_rho
     if steps < 1:
         raise BadScaling(f"need at least one update step, got {steps}")
     x, R = prior.x_hat.x, prior.R
@@ -279,7 +279,7 @@ def update(
             )
         T = obs_stats.R_xh.T
         # Pi is exactly symmetric and the noise diagonal, so S is too.
-        S = obs_stats.Pi + eye / (2.0 * rho * fraction)
+        S = obs_stats.Pi + eye / (2.0 * y.snr_rho * fraction)
         try:
             np.linalg.cholesky(S)
         except np.linalg.LinAlgError as exc:
@@ -289,22 +289,4 @@ def update(
         solved = np.linalg.solve(S, np.column_stack([y.y_real - obs_stats.h_hat, T]))
         x = x + T.T @ solved[:, 0]
         R, root = _condition_covariance(R - T.T @ solved[:, 1:], scale)
-    return TrackerState(x_hat=ChannelState(prior.x_hat.L, x), R=R, k=prior.k)
-
-
-def forward_predict_channel(
-    ts: TrackerState,
-    model: DynamicsModel,
-    horizon: float,
-    tx: ArrayGeometry,
-    rx: ArrayGeometry,
-) -> np.ndarray:
-    """Predicts the complex channel matrix ``horizon`` seconds ahead.
-
-    The deterministic part of the dynamics is exact for any step length, so
-    the closed-form mean covers the whole horizon.  The filter itself is not
-    advanced; this is a read-only projection for beam pointing between
-    soundings.
-    """
-    state = ChannelState(ts.x_hat.L, predicted_mean(model, ts.x_hat.x, horizon))
-    return channel_matrix(state, tx, rx)
+    return TrackerState(x_hat=ChannelState(prior.x_hat.L, x), R=R)

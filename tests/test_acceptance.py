@@ -240,9 +240,7 @@ class TestAcceptance:
             traces = {}
             for arm in ("adaptive", "random"):
                 if arm == "adaptive":
-                    design = design_beams(
-                        prior, tx, rx, params, cfg.rho, cfg.N_T, cfg.N_R, stats=stats
-                    )
+                    design = design_beams(stats, tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
                     F, Z = design.F, design.Z
                 else:
                     F = baseline_beams("random_unit", cfg.M_T, cfg.N_T, rng=rng_beam)

@@ -35,7 +35,14 @@ from beamtrack.numerics import (
     kron_rearrange,
 )
 from beamtrack.sounding import build_plan, observation_map, observe
-from beamtrack.tracker import TrackerState, UkfParams, make_channel_fn, update
+from beamtrack.tracker import (
+    TrackerState,
+    UkfParams,
+    channel_statistics,
+    make_channel_fn,
+    sigma_points,
+    update,
+)
 
 
 def unit_columns(rng, m, n):
@@ -43,10 +50,13 @@ def unit_columns(rng, m, n):
     return B / np.linalg.norm(B, axis=0)
 
 
-def design_input(rng, n=6, m=8, n_t=2, n_r=2, **overrides):
+def design_input(rng, n=6, m=8, n_t=2, n_r=2, Pi=None, **overrides):
+    """A pencil with a dense channel covariance Pi (zero by default)."""
+    if Pi is None:
+        Pi = np.zeros((2 * m, 2 * m))
     fields = dict(
         R_xh=rng.standard_normal((n, 2 * m)),
-        Pi_hat=np.zeros((2 * m, 2 * m)),
+        Pi_factors=(np.eye(2 * m), Pi),
         W=np.ones(n),
         rho=10.0,
         num_tx_beams=n_t,
@@ -78,10 +88,11 @@ class TestUnconstrainedOptimalDirections:
     def test_residual_on_random_pencils(self):
         rng = np.random.default_rng(72)
         M = rng.standard_normal((16, 16))
-        inp = design_input(rng, Pi_hat=M @ M.T / 16.0)
+        Pi = M @ M.T / 16.0
+        inp = design_input(rng, Pi=Pi)
         V, eigvals = unconstrained_optimal_directions(inp)
         A = inp.R_xh.T @ inp.R_xh
-        B = inp.Pi_hat + np.eye(16) / (2.0 * inp.rho)
+        B = Pi + np.eye(16) / (2.0 * inp.rho)
         resid = np.linalg.norm(A @ V - B @ V @ np.diag(eigvals))
         assert resid < 1e-8
 
@@ -98,7 +109,7 @@ class TestSignalSubspace:
         R_xh = np.zeros((6, 32))
         R_xh[:2] = rng.standard_normal((2, 32))
         M = rng.standard_normal((32, 32))
-        return design_input(rng, R_xh=R_xh, Pi_hat=M @ M.T / 32.0, m=16,
+        return design_input(rng, R_xh=R_xh, Pi=M @ M.T / 32.0, m=16,
                             n_t=n_t, n_r=n_r)
 
     def test_signal_rank_counts_nonround_off_eigenvalues(self):
@@ -163,7 +174,8 @@ class TestSignalSubspace:
         inp = self.rank_two_input(rng)
         V, eigvals = unconstrained_optimal_directions(inp)
         A = inp.R_xh.T @ inp.R_xh
-        B = inp.Pi_hat + np.eye(32) / (2.0 * inp.rho)
+        F, Pi = inp.Pi_factors
+        B = F @ Pi @ F.T + np.eye(32) / (2.0 * inp.rho)
         w, U = generalized_eig_sym(A, B, 2)
         np.testing.assert_allclose(eigvals[:2], w, rtol=1e-10)
         for j in range(2):
@@ -176,16 +188,17 @@ import numpy as np
 from beamtrack.beams import design_beams
 from beamtrack.channel import ArrayGeometry
 from beamtrack.simulate import FILTER_PARAMS, ScenarioConfig, generate_scenario
-from beamtrack.tracker import TrackerState
+from beamtrack.tracker import channel_statistics, make_channel_fn, sigma_points
 
 cfg = ScenarioConfig()
 tx, rx = ArrayGeometry(cfg.M_T), ArrayGeometry(cfg.M_R)
+fn = make_channel_fn(cfg.L, tx, rx)
 parts = []
 for i in range(4):
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]).spawn(4)[0])
     _, estimate, R0 = generate_scenario(cfg, rng)
-    out = design_beams(TrackerState(estimate, R0), tx, rx, FILTER_PARAMS,
-                       cfg.rho, cfg.N_T, cfg.N_R)
+    stats = channel_statistics(sigma_points(estimate.x, R0, FILTER_PARAMS), fn)
+    out = design_beams(stats, tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
     parts += [out.F.ravel(), out.Z.ravel()]
 np.save(sys.stdout.buffer, np.concatenate(parts))
 """
@@ -291,12 +304,22 @@ def confident_prior(rng, ups_t=0.5, ups_r=-0.3, angle_var=0.01):
     return TrackerState(x_hat=x, R=R)
 
 
+def prior_statistics(prior, geom):
+    """Sigma statistics of a one-path prior, as the loop hands them to design."""
+    sigma = sigma_points(prior.x_hat.x, prior.R, UkfParams())
+    return channel_statistics(sigma, make_channel_fn(1, geom, geom))
+
+
 class TestDesignBeams:
     GEOM = ArrayGeometry(8)
 
+    def design(self, prior, n_t, n_r):
+        return design_beams(prior_statistics(prior, self.GEOM), self.GEOM, self.GEOM,
+                            10.0, n_t, n_r)
+
     def test_certain_prior_falls_back(self):
         prior = TrackerState(ChannelState(1, np.zeros(6)), np.zeros((6, 6)))
-        out = design_beams(prior, self.GEOM, self.GEOM, UkfParams(), 10.0, 2, 2)
+        out = self.design(prior, 2, 2)
         assert out.used_fallback
         np.testing.assert_allclose(
             out.F, baseline_beams("dft_grid", 8, 2), atol=1e-15
@@ -305,7 +328,7 @@ class TestDesignBeams:
     def test_beams_point_at_confident_path(self):
         rng = np.random.default_rng(80)
         prior = confident_prior(rng, angle_var=1e-4)
-        out = design_beams(prior, self.GEOM, self.GEOM, UkfParams(), 10.0, 1, 1)
+        out = self.design(prior, 1, 1)
         assert not out.used_fallback
         nu_t = virtual_to_spatial(0.5, self.GEOM)
         nu_r = virtual_to_spatial(-0.3, self.GEOM)
@@ -319,7 +342,7 @@ class TestDesignBeams:
         # noise-dominated, but the best column should still point at the path
         rng = np.random.default_rng(84)
         prior = confident_prior(rng, angle_var=1e-4)
-        out = design_beams(prior, self.GEOM, self.GEOM, UkfParams(), 10.0, 2, 2)
+        out = self.design(prior, 2, 2)
         nu_t = virtual_to_spatial(0.5, self.GEOM)
         corr_f = max(
             abs(out.F[:, j].conj() @ steering_vector(nu_t, 8)) / np.sqrt(8.0)
@@ -329,11 +352,16 @@ class TestDesignBeams:
 
     def test_weight_scaling_leaves_beams_unchanged(self):
         rng = np.random.default_rng(81)
-        prior = confident_prior(rng)
-        a = design_beams(prior, self.GEOM, self.GEOM, UkfParams(), 10.0, 2, 2,
-                         W=np.ones(6))
-        b = design_beams(prior, self.GEOM, self.GEOM, UkfParams(), 10.0, 2, 2,
-                         W=5.0 * np.ones(6))
+        stats = prior_statistics(confident_prior(rng), self.GEOM)
+        dims = KroneckerFactorDims(8, 2, 8, 2)
+
+        def weighted(W):
+            inp = BeamDesignInput(stats.R_xh, (stats.D.T, np.diag(stats.w_cov)), W,
+                                  10.0, 2, 2)
+            return beams_from_directions(*unconstrained_optimal_directions(inp), dims)
+
+        a = weighted(np.ones(6))
+        b = weighted(5.0 * np.ones(6))
         for j in range(2):
             assert abs(a.F[:, j].conj() @ b.F[:, j]) > 1.0 - 1e-8
             assert abs(a.Z[:, j].conj() @ b.Z[:, j]) > 1.0 - 1e-8
@@ -341,8 +369,8 @@ class TestDesignBeams:
     def test_deterministic(self):
         rng = np.random.default_rng(82)
         prior = confident_prior(rng)
-        a = design_beams(prior, self.GEOM, self.GEOM, UkfParams(), 10.0, 2, 2)
-        b = design_beams(prior, self.GEOM, self.GEOM, UkfParams(), 10.0, 2, 2)
+        a = self.design(prior, 2, 2)
+        b = self.design(prior, 2, 2)
         np.testing.assert_array_equal(a.F, b.F)
         np.testing.assert_array_equal(a.Z, b.Z)
 
@@ -358,16 +386,14 @@ class TestDesignBeams:
             truth = ChannelState(1, rng.multivariate_normal(prior.x_hat.x, prior.R))
             h_true = fn(truth.x[None, :])[0]
 
-            designed = design_beams(
-                prior, self.GEOM, self.GEOM, UkfParams(), 10.0, 2, 2
-            )
+            designed = self.design(prior, 2, 2)
             random_F = unit_columns(rng, 8, 2)
             random_Z = unit_columns(rng, 8, 2)
 
             traces = []
             for F, Z in ((designed.F, designed.Z), (random_F, random_Z)):
                 plan = build_plan(F, Z)
-                obs = observe(plan, h_true, 10.0, rng, time_index=0)
+                obs = observe(plan, h_true, 10.0, rng)
                 measure = observation_map(plan, 1, self.GEOM, self.GEOM)
                 post = update(prior_state(prior), measure, obs, UkfParams())
                 traces.append(np.trace(post.R))
@@ -377,7 +403,7 @@ class TestDesignBeams:
 
 
 def prior_state(ts):
-    return TrackerState(x_hat=ts.x_hat, R=ts.R.copy(), k=ts.k)
+    return TrackerState(x_hat=ts.x_hat, R=ts.R.copy())
 
 
 class TestBaselineBeams:

@@ -206,6 +206,8 @@ class TestSimulateCommand:
             "T_S=inf",
             "rho_db=nan",
             "rho_db=1e10",
+            "rho_db=160",
+            "rho_db=300",
             "beta=1.5",
             "q_upsilon=1,2,3",
             "d_over_lambda=0",

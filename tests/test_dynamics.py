@@ -85,7 +85,7 @@ class TestAdvanceTruth:
     def test_frozen_angles_scaled_gains(self):
         # manually zeroed Q isolates the deterministic part
         tp_full = build_transition(reference_model(beta=0.5), TS)
-        tp = TransitionPair(A=tp_full.A, Q=np.zeros_like(tp_full.Q), dt=TS)
+        tp = TransitionPair(A=tp_full.A, Q=np.zeros_like(tp_full.Q))
         st = ChannelState.from_parts([2.0 + 2.0j], [0.3], [0.0], [-0.7], [0.0])
         out = advance_truth(st, tp, np.random.default_rng(1))
         np.testing.assert_allclose(out.gains, [1.0 + 1.0j], atol=1e-15)
@@ -94,7 +94,7 @@ class TestAdvanceTruth:
 
     def test_noise_covariance_matches_q(self):
         q_diag = np.array([0.09, 0.09, 1e-4, 1e2, 1e-4, 1e2])
-        tp = TransitionPair(A=np.eye(6), Q=np.diag(q_diag), dt=TS)
+        tp = TransitionPair(A=np.eye(6), Q=np.diag(q_diag))
         st = ChannelState(1, np.zeros(6))
         rng = np.random.default_rng(42)
         samples = np.array([advance_truth(st, tp, rng).x for _ in range(100_000)])
@@ -126,7 +126,7 @@ class TestAdvanceTruth:
     def test_matches_noiseless_transition(self):
         model = reference_model(beta=0.8, q=(0.0, 0.0))
         full = build_transition(model, TS)
-        tp = TransitionPair(A=full.A, Q=np.zeros_like(full.Q), dt=TS)
+        tp = TransitionPair(A=full.A, Q=np.zeros_like(full.Q))
         st = ChannelState.from_parts([1.0 - 0.5j], [0.2], [3.0], [-0.1], [-4.0])
         truth = advance_truth(st, tp, np.random.default_rng(3))
         np.testing.assert_allclose(truth.x, tp.A @ st.x, atol=1e-15)
@@ -159,7 +159,7 @@ class TestAdvanceCovariance:
 
     def test_identity_transition_adds_q(self):
         q = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        tp = TransitionPair(A=np.eye(6), Q=q, dt=TS)
+        tp = TransitionPair(A=np.eye(6), Q=q)
         R = np.diag([0.5] * 6)
         np.testing.assert_allclose(advance_covariance(R, tp), R + q)
 

@@ -74,7 +74,7 @@ class TestFactoredPencil:
         assert stats.D.shape == (2 * 6 * cfg.L + 1, 512)
         inp = BeamDesignInput(
             R_xh=stats.R_xh,
-            Pi_hat=(stats.D.T, np.diag(stats.w_cov)),
+            Pi_factors=(stats.D.T, np.diag(stats.w_cov)),
             W=np.ones(stats.R_xh.shape[0]),
             rho=cfg.rho,
             num_tx_beams=cfg.N_T,
@@ -94,7 +94,7 @@ class TestFactoredPencil:
         assert np.linalg.norm(U - Q @ (Q.T @ U)) > 0.9 * np.linalg.norm(U)
         W = rng.uniform(0.5, 2.0, R_xh.shape[0])
         inp = BeamDesignInput(
-            R_xh=R_xh, Pi_hat=(F, np.diag(stats.w_cov)), W=W, rho=cfg.rho,
+            R_xh=R_xh, Pi_factors=(F, np.diag(stats.w_cov)), W=W, rho=cfg.rho,
             num_tx_beams=cfg.N_T, num_rx_beams=cfg.N_R,
         )
         assert_directions_match(inp, stats.Pi, cfg.N_T * cfg.N_R)
@@ -103,8 +103,8 @@ class TestFactoredPencil:
         cfg, stats = reference_stats(0)
         common = dict(R_xh=stats.R_xh, W=np.ones(stats.R_xh.shape[0]), rho=cfg.rho,
                       num_tx_beams=cfg.N_T, num_rx_beams=cfg.N_R)
-        dense = BeamDesignInput(Pi_hat=stats.Pi, **common)
-        factored = BeamDesignInput(Pi_hat=(stats.D.T, np.diag(stats.w_cov)), **common)
+        dense = BeamDesignInput(Pi_factors=(np.eye(512), stats.Pi), **common)
+        factored = BeamDesignInput(Pi_factors=(stats.D.T, np.diag(stats.w_cov)), **common)
         np.testing.assert_array_equal(dense.Pi_factors[0], np.eye(512))
         _, w_d = unconstrained_optimal_directions(dense)
         _, w_f = unconstrained_optimal_directions(factored)
@@ -116,7 +116,7 @@ class TestFactoredPencil:
         F = rng.standard_normal((m, k))
         Omega = np.diag(np.r_[-10.0, np.ones(k - 1)])
         inp = BeamDesignInput(
-            R_xh=rng.standard_normal((6, m)), Pi_hat=(F, Omega), W=np.ones(6),
+            R_xh=rng.standard_normal((6, m)), Pi_factors=(F, Omega), W=np.ones(6),
             rho=10.0, num_tx_beams=2, num_rx_beams=2,
         )
         with pytest.raises(np.linalg.LinAlgError):
@@ -137,7 +137,7 @@ def small_problem(seed):
     prior = TrackerState(estimate, R0)
     sigma = sigma_points(estimate.x, R0, params)
     stats = channel_statistics(sigma, fn)
-    design = design_beams(prior, tx, rx, params, cfg.rho, cfg.N_T, cfg.N_R, stats=stats)
+    design = design_beams(stats, tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
     plan = build_plan(design.F, design.Z)
     obs = observe(plan, fn(truth.x[None, :])[0], cfg.rho, rng)
     measure = observation_map(plan, cfg.L, tx, rx)
@@ -165,7 +165,7 @@ class TestFactoredUpdate:
         S_inv = np.linalg.inv((S + S.T) / 2.0)
         dx = T.T @ S_inv @ (obs.y_real - G @ stats.h_hat)
         dR = T.T @ S_inv @ T
-        post = update(prior, measure, obs, params, rho, sigma=sigma)
+        post = update(prior, measure, obs, params, sigma=sigma)
         # The increments themselves agree, not only the posterior moments.
         got_dx = post.x_hat.x - prior.x_hat.x
         got_dR = prior.R - post.R
@@ -175,7 +175,7 @@ class TestFactoredUpdate:
     def test_indefinite_innovation_raises(self):
         # Negative weights make G Pi G^T strongly indefinite, and the noise
         # on the diagonal of S cannot make up for it.
-        prior, sigma, _, measure, _, obs, params, rho = small_problem(0)
+        prior, sigma, _, measure, _, obs, params, _ = small_problem(0)
         bad = SigmaSet(sigma.points, sigma.w_mean, -np.abs(sigma.w_cov))
         with pytest.raises(SingularInnovation):
-            update(prior, measure, obs, params, rho, sigma=bad)
+            update(prior, measure, obs, params, sigma=bad)

@@ -128,18 +128,14 @@ def per_step_reference(cfg, run_index=0) -> RunRecord:
             stats = channel_statistics(sigma, channel_fn)
             n_t = cfg.first_N_T if k == 0 and cfg.first_N_T else cfg.N_T
             n_r = cfg.first_N_R if k == 0 and cfg.first_N_R else cfg.N_R
-            design = design_beams(
-                ts, tx, rx, FILTER_PARAMS, cfg.rho, n_t, n_r, stats=stats
-            )
+            design = design_beams(stats, tx, rx, cfg.rho, n_t, n_r)
             plan = build_plan(design.F, design.Z)
-            obs = observe(
-                plan, channel_fn(truth.x[None, :])[0], cfg.rho, rng_obs, time_index=k
-            )
+            obs = observe(plan, channel_fn(truth.x[None, :])[0], cfg.rho, rng_obs)
             rec.innovation_norms[k] = np.linalg.norm(
                 obs.y_real - noiseless_measurement(plan, stats.h_hat)
             )
             measure = observation_map(plan, cfg.L, tx, rx)
-            ts = update(ts, measure, obs, FILTER_PARAMS, cfg.rho, sigma, steps=UPDATE_STEPS)
+            ts = update(ts, measure, obs, FILTER_PARAMS, sigma, steps=UPDATE_STEPS)
             if not healthy(ts.x_hat.x):
                 rec.diverged = True
                 break

@@ -12,10 +12,9 @@ from beamtrack.errors import (
 )
 from beamtrack.sounding import (
     build_plan,
-    noiseless_response,
+    noiseless_measurement,
     observation_map,
     observe,
-    stack_response,
 )
 
 
@@ -66,9 +65,8 @@ class TestBuildPlan:
 class TestObserve:
     def test_scalar_noiseless(self):
         plan = build_plan(np.array([[1.0]]), np.array([[1.0]]))
-        obs = observe(plan, np.array([2.0, 0.0]), 10.0, np.random.default_rng(0),
-                      noiseless=True)
-        np.testing.assert_array_equal(obs.y_real, [2.0, 0.0])
+        y = noiseless_measurement(plan, np.array([2.0, 0.0]))
+        np.testing.assert_array_equal(y, [2.0, 0.0])
 
     def test_noiseless_matches_operator(self):
         rng = np.random.default_rng(5)
@@ -78,8 +76,8 @@ class TestObserve:
             Z, _ = np.linalg.qr(random_channel(rng, m_r, n_r))
             plan = build_plan(F, Z)
             h = rng.standard_normal(2 * m_t * m_r)
-            obs = observe(plan, h, 1.0, rng, noiseless=True)
-            np.testing.assert_allclose(obs.y_real, plan.G_real @ h, atol=1e-14)
+            y = noiseless_measurement(plan, h)
+            np.testing.assert_allclose(y, plan.G_real @ h, atol=1e-14)
 
     def test_noise_variance_calibration(self):
         plan = build_plan(np.array([[1.0]]), np.array([[1.0]]))
@@ -109,11 +107,15 @@ class TestObserve:
 
 
 class TestNoiselessResponse:
+    """The beam-space response Z^H H F, which noiseless_measurement stacks."""
+
     def test_identity_beams_pass_channel_through(self):
         rng = np.random.default_rng(2)
         H = random_channel(rng, 3, 3)
         plan = build_plan(np.eye(3), np.eye(3))
-        np.testing.assert_allclose(noiseless_response(plan, H), H, atol=1e-15)
+        np.testing.assert_allclose(
+            noiseless_measurement(plan, stacked(H)), stacked(H), atol=1e-15
+        )
 
     def test_matched_beams_capture_full_gain(self):
         m_t, m_r = 8, 4
@@ -123,13 +125,13 @@ class TestNoiselessResponse:
         plan = build_plan(
             (a_t / np.sqrt(m_t)).reshape(-1, 1), (a_r / np.sqrt(m_r)).reshape(-1, 1)
         )
-        resp = noiseless_response(plan, H)
-        np.testing.assert_allclose(resp, [[np.sqrt(m_r * m_t)]], atol=1e-12)
+        resp = noiseless_measurement(plan, stacked(H))
+        np.testing.assert_allclose(resp, [np.sqrt(m_r * m_t), 0.0], atol=1e-12)
 
     def test_rejects_wrong_shape(self):
         plan = build_plan(np.eye(3), np.eye(2))
         with pytest.raises(DimensionMismatch):
-            noiseless_response(plan, np.zeros((3, 3), dtype=complex))
+            noiseless_measurement(plan, stacked(np.zeros((3, 3), dtype=complex)))
 
 
 class TestOperatorIdentities:
@@ -140,7 +142,8 @@ class TestOperatorIdentities:
             Z, _ = np.linalg.qr(random_channel(rng, 5, 3))
             plan = build_plan(F, Z)
             H = random_channel(rng, 5, 6)
-            lhs = noiseless_response(plan, H).reshape(-1, order="F")
+            y = noiseless_measurement(plan, stacked(H))
+            lhs = y[: y.shape[0] // 2] + 1j * y[y.shape[0] // 2 :]
             rhs = plan.G @ H.reshape(-1, order="F")
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -151,7 +154,7 @@ class TestOperatorIdentities:
         plan = build_plan(F, Z)
         H = random_channel(rng, 6, 7)
         np.testing.assert_allclose(
-            stack_response(plan, H), plan.G_real @ stacked(H), atol=1e-12
+            noiseless_measurement(plan, stacked(H)), plan.G_real @ stacked(H), atol=1e-12
         )
 
 

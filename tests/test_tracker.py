@@ -12,12 +12,17 @@ from beamtrack.errors import (
     IndefiniteCovariance,
 )
 from beamtrack.simulate import FILTER_PARAMS
-from beamtrack.sounding import Observation, build_plan, observation_map, observe
+from beamtrack.sounding import (
+    Observation,
+    build_plan,
+    noiseless_measurement,
+    observation_map,
+    observe,
+)
 from beamtrack.tracker import (
     TrackerState,
     UkfParams,
     channel_statistics,
-    forward_predict_channel,
     make_channel_fn,
     predict,
     sigma_points,
@@ -43,7 +48,7 @@ def kalman_update(x, R, H, y, noise_var):
 
 class TestSigmaPoints:
     def test_unit_eta_weights(self):
-        s = sigma_points(np.zeros(6), np.eye(6), UkfParams(eta=1.0, kappa=0.0))
+        s = sigma_points(np.zeros(6), np.eye(6), UkfParams(eta=1.0))
         assert s.w_mean[0] == 0.0
         np.testing.assert_allclose(s.w_mean[1:], 1.0 / 12.0)
         assert abs(np.sum(s.w_mean) - 1.0) < 1e-12
@@ -74,7 +79,7 @@ class TestSigmaPoints:
 
     def test_rejects_bad_scaling(self):
         with pytest.raises(BadScaling):
-            sigma_points(np.zeros(6), np.eye(6), UkfParams(eta=0.5, kappa=-6.0))
+            sigma_points(np.zeros(6), np.eye(6), UkfParams(eta=0.0))
 
     def test_rejects_indefinite_covariance(self):
         R = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
@@ -84,12 +89,11 @@ class TestSigmaPoints:
 
 class TestPredict:
     def test_identity_noop(self):
-        tp = TransitionPair(A=np.eye(6), Q=np.zeros((6, 6)), dt=1e-4)
-        ts = TrackerState(ChannelState(1, np.arange(6.0)), np.eye(6), k=3)
+        tp = TransitionPair(A=np.eye(6), Q=np.zeros((6, 6)))
+        ts = TrackerState(ChannelState(1, np.arange(6.0)), np.eye(6))
         out = predict(ts, tp)
         np.testing.assert_array_equal(out.x_hat.x, ts.x_hat.x)
         np.testing.assert_array_equal(out.R, ts.R)
-        assert out.k == 4
 
     def test_matches_transition_algebra(self):
         rng = np.random.default_rng(40)
@@ -112,7 +116,7 @@ class TestPredict:
         assert np.all(np.diff(traces) >= -1e-15)
 
     def test_dimension_check(self):
-        tp = TransitionPair(A=np.eye(12), Q=np.zeros((12, 12)), dt=1e-4)
+        tp = TransitionPair(A=np.eye(12), Q=np.zeros((12, 12)))
         with pytest.raises(DimensionMismatch):
             predict(TrackerState(ChannelState(1, np.zeros(6)), np.eye(6)), tp)
 
@@ -134,7 +138,7 @@ class TestUpdateLinearOracle:
             x = rng.standard_normal(6)
             R = random_psd(rng, 6)
             y_vec = rng.standard_normal(8)
-            obs = Observation(y_real=y_vec, snr_rho=self.rho, time_index=0)
+            obs = Observation(y_real=y_vec, snr_rho=self.rho)
             prior = TrackerState(ChannelState(1, x), R)
             post = update(prior, self.measure, obs, UkfParams(eta=eta))
             x_kf, R_kf = kalman_update(x, R, self.H, y_vec, 1.0 / (2.0 * self.rho))
@@ -154,7 +158,7 @@ class TestUpdateLinearOracle:
             ts = predict(ts, tp)
             x_kf, R_kf = tp.A @ x_kf, tp.A @ R_kf @ tp.A.T + tp.Q
             y_vec = rng.standard_normal(8)
-            obs = Observation(y_real=y_vec, snr_rho=self.rho, time_index=ts.k)
+            obs = Observation(y_real=y_vec, snr_rho=self.rho)
             ts = update(ts, self.measure, obs, UkfParams())
             x_kf, R_kf = kalman_update(x_kf, R_kf, H, y_vec, noise_var)
             np.testing.assert_allclose(ts.x_hat.x, x_kf, atol=1e-8)
@@ -174,7 +178,7 @@ class TestRecursiveUpdate:
             x = rng.standard_normal(6)
             R = random_psd(rng, 6)
             y_vec = rng.standard_normal(8)
-            obs = Observation(y_real=y_vec, snr_rho=rho, time_index=0)
+            obs = Observation(y_real=y_vec, snr_rho=rho)
             post = update(TrackerState(ChannelState(1, x), R), lambda X: X @ H.T, obs,
                           UkfParams(eta=eta), steps=20)
             x_kf, R_kf = kalman_update(x, R, H, y_vec, 1.0 / (2.0 * rho))
@@ -199,7 +203,7 @@ class TestRecursiveUpdate:
         prior = TrackerState(ChannelState(1, x0), R0)
         sigma = sigma_points(x0, R0, params)
         stats = channel_statistics(sigma, fn)
-        design = design_beams(prior, geom, geom, params, rho, 6, 6, stats=stats)
+        design = design_beams(stats, geom, geom, rho, 6, 6)
         plan = build_plan(design.F, design.Z)
         measure = observation_map(plan, 1, geom, geom)
         h_true = fn(truth.x[None, :])[0]
@@ -218,9 +222,9 @@ class TestRecursiveUpdate:
         measure = observation_map(build_plan(DFT2, DFT2), 1, ArrayGeometry(2), ArrayGeometry(2))
         prior = TrackerState(ChannelState(1, np.zeros(6)), np.eye(6))
         with pytest.raises(DimensionMismatch):
-            short = Observation(y_real=np.ones(6), snr_rho=10.0, time_index=0)
+            short = Observation(y_real=np.ones(6), snr_rho=10.0)
             update(prior, measure, short, UkfParams(), steps=2)
-        obs = Observation(y_real=np.ones(8), snr_rho=10.0, time_index=0)
+        obs = Observation(y_real=np.ones(8), snr_rho=10.0)
         with pytest.raises(BadScaling):
             update(prior, measure, obs, UkfParams(), steps=0)
 
@@ -254,7 +258,7 @@ class TestCarriedSigmaRoot:
     def check_matches_stepwise(self, R):
         measure = observation_map(self.plan, 1, ArrayGeometry(2), ArrayGeometry(2))
         y = np.random.default_rng(64).standard_normal(8)
-        obs = Observation(y_real=y, snr_rho=10.0, time_index=0)
+        obs = Observation(y_real=y, snr_rho=10.0)
         prior = TrackerState(ChannelState(1, np.linspace(-0.3, 1.0, 6)), R)
         post = update(prior, measure, obs, self.params, steps=3)
         x_ref, R_ref = stepwise_update(prior, measure, obs, self.params, 3)
@@ -275,7 +279,7 @@ class TestCarriedSigmaRoot:
         M = np.random.default_rng(67).standard_normal((8, 6))
         wide = sigma_points(np.zeros(6), np.eye(6), self.params)
         prior = TrackerState(ChannelState(1, np.zeros(6)), 1e-3 * np.eye(6))
-        obs = Observation(y_real=np.ones(8), snr_rho=10.0, time_index=0)
+        obs = Observation(y_real=np.ones(8), snr_rho=10.0)
         with pytest.raises(IndefiniteCovariance):
             update(prior, lambda X: X @ M.T, obs, self.params, sigma=wide, steps=2)
 
@@ -286,7 +290,7 @@ class TestUpdateProperties:
         measure = observation_map(plan, 1, ArrayGeometry(2), ArrayGeometry(2))
         x = np.array([1.0, 0.5, 0.2, 0.0, -0.3, 0.0])
         prior = TrackerState(ChannelState(1, x), np.zeros((6, 6)))
-        obs = Observation(y_real=np.ones(8), snr_rho=10.0, time_index=0)
+        obs = Observation(y_real=np.ones(8), snr_rho=10.0)
         post = update(prior, measure, obs, UkfParams())
         np.testing.assert_array_equal(post.x_hat.x, x)
         np.testing.assert_array_equal(post.R, np.zeros((6, 6)))
@@ -298,8 +302,7 @@ class TestUpdateProperties:
         for _ in range(5):
             x = rng.standard_normal(6) * 0.3
             R = random_psd(rng, 6)
-            obs = Observation(y_real=rng.standard_normal(8), snr_rho=10.0,
-                              time_index=0)
+            obs = Observation(y_real=rng.standard_normal(8), snr_rho=10.0)
             post = update(TrackerState(ChannelState(1, x), R), measure, obs,
                           UkfParams())
             gap = np.max(np.linalg.eigvalsh(post.R - R))
@@ -327,8 +330,8 @@ class TestUpdateProperties:
 
         rho = 1e6
         errs = [np.linalg.norm(ts.x_hat.x - truth.x)]
-        for k in range(10):
-            obs = observe(plan, h_true, rho, rng, time_index=k, noiseless=True)
+        for _ in range(10):
+            obs = Observation(noiseless_measurement(plan, h_true), rho)
             ts = update(ts, measure, obs, UkfParams())
             errs.append(np.linalg.norm(ts.x_hat.x - truth.x))
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
@@ -340,7 +343,7 @@ class TestUpdateProperties:
         measure = observation_map(plan, 1, ArrayGeometry(2), ArrayGeometry(2))
         x = rng.standard_normal(6) * 0.2
         R = random_psd(rng, 6)
-        obs = Observation(y_real=rng.standard_normal(8), snr_rho=5.0, time_index=0)
+        obs = Observation(y_real=rng.standard_normal(8), snr_rho=5.0)
         prior = TrackerState(ChannelState(1, x), R)
         sigma = sigma_points(x, R, UkfParams())
         a = update(prior, measure, obs, UkfParams())
@@ -354,49 +357,10 @@ class TestUpdateProperties:
         measure = observation_map(plan, 1, ArrayGeometry(2), ArrayGeometry(2))
         x = rng_a.standard_normal(6)
         R = random_psd(rng_a, 6)
-        obs = Observation(y_real=rng_a.standard_normal(8), snr_rho=2.0, time_index=0)
+        obs = Observation(y_real=rng_a.standard_normal(8), snr_rho=2.0)
         prior = TrackerState(ChannelState(1, x), R)
         a = update(prior, measure, obs, UkfParams())
         b = update(prior, measure, obs, UkfParams())
         np.testing.assert_array_equal(a.x_hat.x, b.x_hat.x)
         np.testing.assert_array_equal(a.R, b.R)
 
-
-class TestForwardPredictChannel:
-    def setup_method(self):
-        self.tx = self.rx = ArrayGeometry(4)
-        self.model = DynamicsModel(L=1, beta=1.0, T_S=1e-4, q_upsilon=np.zeros(2))
-
-    def test_zero_horizon_is_current_channel(self):
-        st = ChannelState.from_parts([1.0], [0.3], [100.0], [0.1], [0.0])
-        ts = TrackerState(st, np.eye(6))
-        out = forward_predict_channel(ts, self.model, 0.0, self.tx, self.rx)
-        np.testing.assert_array_equal(out, channel_matrix(st, self.tx, self.rx))
-
-    def test_static_state_ignores_horizon(self):
-        st = ChannelState.from_parts([1.0 - 1.0j], [0.3], [0.0], [0.1], [0.0])
-        ts = TrackerState(st, np.eye(6))
-        a = forward_predict_channel(ts, self.model, 1e-4, self.tx, self.rx)
-        b = forward_predict_channel(ts, self.model, 5e-3, self.tx, self.rx)
-        np.testing.assert_allclose(a, b, atol=1e-14)
-
-    def test_velocity_shifts_position(self):
-        st = ChannelState.from_parts([1.0], [0.2], [1e3], [0.0], [0.0])
-        ts = TrackerState(st, np.eye(6))
-        out = forward_predict_channel(ts, self.model, 1e-4, self.tx, self.rx)
-        shifted = ChannelState.from_parts([1.0], [0.3], [1e3], [0.0], [0.0])
-        np.testing.assert_allclose(
-            out, channel_matrix(shifted, self.tx, self.rx), atol=1e-12
-        )
-
-    def test_fading_shrinks_gain(self):
-        model = DynamicsModel(L=1, beta=0.905, T_S=1e-4, q_upsilon=np.zeros(2))
-        st = ChannelState.from_parts([2.0], [0.0], [0.0], [0.0], [0.0])
-        ts = TrackerState(st, np.eye(6))
-        out = forward_predict_channel(ts, model, 1e-4, self.tx, self.rx)
-        np.testing.assert_allclose(out, 0.905 * np.ones((4, 4)) * 2.0, atol=1e-12)
-
-    def test_rejects_negative_horizon(self):
-        ts = TrackerState(ChannelState(1, np.zeros(6)), np.eye(6))
-        with pytest.raises(ValueError):
-            forward_predict_channel(ts, self.model, -1e-4, self.tx, self.rx)

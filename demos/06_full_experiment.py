@@ -6,10 +6,10 @@ hard cold start with essentially uninformative velocity estimates — and
 interleaves sounding/updating at 0.1 ms with fine-grained metrics at 1 us.
 
 Each path either stays locked or is lost, and the per-run numbers below show
-both.  At seed 0, all eight runs beat one-shot estimation; the across-run
-median loss is -0.71 dB tracked against -13.81 dB one-shot, and the median
-prediction-gain ratio is 1.000426.  Six of the eight runs keep their median
-position error under the initial spread.  The other two have at least one
+both.  At seed 0, seven of the eight runs beat one-shot estimation; the
+across-run median loss is -0.83 dB tracked against -13.81 dB one-shot, and
+the median prediction-gain ratio is 1.000048.  Six of the eight runs keep
+their median position error under the initial spread.  The other two have at least one
 lost path.  Most lost paths start further off than the recursive
 measurement update can bridge (about 1.5 beamwidths) and are never found.
 A few are found and then lost over the next soundings while their velocity

@@ -200,14 +200,21 @@ def rank_one_factor(R: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     Frobenius-nearest rank-one matrix to ``R``.
 
     The dominant vector of the smaller side is the top eigenvector of the
-    smaller Gram matrix (``R R^H`` or ``R^H R``); one product with ``R``
-    gives ``s`` and the other vector.  Unlike LAPACK's divide-and-conquer
-    SVD, whose result moves in the last bits with the BLAS thread count,
-    this gives the same bits at any thread count.  Squaring ``R`` squares
-    its condition, so when ``sigma_1 / sigma_2`` is close to one the vectors
-    may mix the top two singular pairs.  The fit ``s u v^H = u u^H R`` is the
-    projection of ``R`` onto ``u``, so such a mix costs at most
-    ``sigma_1^2 - sigma_2^2`` in squared Frobenius error.
+    smaller Gram matrix ``A`` (``R R^H`` or ``R^H R``); one product with
+    ``R`` gives ``s`` and the other vector.  Only that eigenpair is computed:
+    the top eigenvalue ``lambda_1`` comes from ``eigvalsh``, and the vector
+    from two steps of inverse iteration with the shift
+    ``lambda_1 (1 + 1e-10)``, started from the column of ``A`` with the
+    largest diagonal entry.  The shift sits just above the spectrum, so each
+    step scales the other eigencomponents, relative to the top one, by
+    ``1e-10 lambda_1 / (lambda_1 - lambda_2 + 1e-10 lambda_1)``.
+    Unlike LAPACK's divide-and-conquer SVD, whose result moves in the last
+    bits with the BLAS thread count, this gives the same bits at any thread
+    count.  Squaring ``R`` squares its condition, so when
+    ``sigma_1 / sigma_2`` is close to one the vectors may mix the top two
+    singular pairs.  The fit ``s u v^H = u u^H R`` is the projection of
+    ``R`` onto ``u``, so such a mix costs at most ``sigma_1^2 - sigma_2^2``
+    in squared Frobenius error.
 
     Raises:
         ZeroMatrix: ``R`` has no nonzero entry.
@@ -218,14 +225,24 @@ def rank_one_factor(R: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     if not np.any(R):
         raise ZeroMatrix("cannot factor the zero matrix")
     if R.shape[0] <= R.shape[1]:
-        u = np.linalg.eigh(R @ R.conj().T)[1][:, -1]
+        u = _top_eigenvector(R @ R.conj().T)
         sv = R.conj().T @ u
         s = float(np.linalg.norm(sv))
         return u, s, sv / s
-    v = np.linalg.eigh(R.conj().T @ R)[1][:, -1]
+    v = _top_eigenvector(R.conj().T @ R)
     su = R @ v
     s = float(np.linalg.norm(su))
     return su / s, s, v
+
+
+def _top_eigenvector(A: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the largest eigenvalue of a nonzero Hermitian PSD ``A``."""
+    shifted = np.linalg.eigvalsh(A)[-1] * (1.0 + 1e-10) * np.eye(A.shape[0]) - A
+    q = A[:, np.argmax(A.diagonal().real)]
+    for _ in range(2):
+        q = np.linalg.solve(shifted, q)
+        q = q / np.linalg.norm(q)
+    return q
 
 
 def complex_to_real_stacked(G: np.ndarray) -> np.ndarray:

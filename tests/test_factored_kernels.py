@@ -10,20 +10,22 @@ factored kernels to agree with it.
 import numpy as np
 import pytest
 
+from beamtrack import simulate
 from beamtrack.beams import (
     BeamDesignInput,
     design_beams,
     signal_rank,
     unconstrained_optimal_directions,
 )
-from beamtrack.channel import ArrayGeometry
-from beamtrack.errors import SingularB, SingularInnovation
-from beamtrack.simulate import FILTER_PARAMS, ScenarioConfig, generate_scenario
-from beamtrack.sounding import build_plan, observation_map, observe
+from beamtrack.channel import ArrayGeometry, ChannelState
+from beamtrack.errors import BadScaling, SingularB, SingularInnovation
+from beamtrack.simulate import FILTER_PARAMS, ScenarioConfig, generate_scenario, run_frame
+from beamtrack.sounding import Observation, build_plan, observation_map, observe
 from beamtrack.tracker import (
     SigmaSet,
     TrackerState,
     UkfParams,
+    _partial_step,
     channel_statistics,
     make_channel_fn,
     sigma_points,
@@ -144,6 +146,58 @@ def small_problem(seed):
     return prior, sigma, stats, measure, plan, obs, params, cfg.rho
 
 
+def solve_longdouble(A, B):
+    """Gaussian elimination with partial pivoting, in the dtype of A and B."""
+    A, B = A.copy(), B.copy()
+    n = A.shape[0]
+    for k in range(n):
+        p = k + np.argmax(np.abs(A[k:, k]))
+        A[[k, p]], B[[k, p]] = A[[p, k]], B[[p, k]]
+        f = A[k + 1 :, k] / A[k, k]
+        A[k + 1 :] -= f[:, None] * A[k]
+        B[k + 1 :] -= f[:, None] * B[k]
+    X = np.zeros_like(B)
+    for k in range(n - 1, -1, -1):
+        X[k] = (B[k] - A[k, k + 1 :] @ X[k + 1 :]) / A[k, k]
+    return X
+
+
+def dense_increments(sigma, measure, y, rho, dtype=float):
+    """Mean and covariance increments of the UKF formula with the dense S.
+
+    The weighted moments use all 2n+1 weights; S = Pi + I/(2 rho) is
+    formed and solved, in ``dtype``.
+    """
+    P = sigma.points.astype(dtype)
+    zeta = np.asarray(measure(sigma.points)).astype(dtype)
+    w_mean, w_cov = sigma.w_mean.astype(dtype), sigma.w_cov.astype(dtype)
+    dz = zeta - w_mean @ zeta
+    Pi = (dz * w_cov[:, None]).T @ dz
+    T = (dz * w_cov[:, None]).T @ (P - P[0])
+    S = Pi + np.eye(Pi.shape[0], dtype=dtype) / (2 * dtype(rho))
+    rhs = np.column_stack([y.astype(dtype) - w_mean @ zeta, T])
+    if dtype is float:
+        X = np.linalg.solve(S, rhs)
+    else:
+        X = solve_longdouble(S, rhs)
+    dR = T.T @ X[:, 1:]
+    return T.T @ X[:, 0], (dR + dR.T) / 2
+
+
+def increment_errors(prior, post, dx, dR):
+    """Relative errors of an update's mean and covariance increments."""
+    err_x = np.linalg.norm(post.x_hat.x - prior.x_hat.x - dx) / np.linalg.norm(dx)
+    err_R = np.linalg.norm(prior.R - post.R - dR) / np.linalg.norm(dR)
+    return float(err_x), float(err_R)
+
+
+def quadratic_map(rng, n, p):
+    """A batched map X -> (x^T Q_k x)_k with p random PSD matrices Q_k."""
+    A = rng.standard_normal((p, n, n))
+    Q = A @ A.transpose(0, 2, 1)
+    return lambda X: np.einsum("ki,pij,kj->kp", X, Q, X)
+
+
 class TestFactoredUpdate:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_first_step_covariance_equals_dense_product(self, seed):
@@ -179,3 +233,82 @@ class TestFactoredUpdate:
         bad = SigmaSet(sigma.points, sigma.w_mean, -np.abs(sigma.w_cov))
         with pytest.raises(SingularInnovation):
             update(prior, measure, obs, params, sigma=bad)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_small_eta_matches_longdouble_formula(self, seed):
+        # At the UkfParams default eta = 1e-3 the centre mean weight is
+        # 1 - 1/eta^2, about -1e6.  Measured on these two problems: the dense route in
+        # float64 (weighted deviations from the mean, one 18 x 18 solve)
+        # is off by 4.4e-7 and 7.5e-6 in dx and 2.6e-8 and 5.9e-7 in dR;
+        # the differences from the centre point are off by 3.0e-10 and
+        # 2.6e-9 in dx and 9.1e-12 and 3.1e-10 in dR.
+        prior, _, _, measure, _, obs, _, rho = small_problem(seed)
+        params = UkfParams(eta=1e-3)
+        sigma = sigma_points(prior.x_hat.x, prior.R, params)
+        dx, dR = dense_increments(sigma, measure, obs.y_real, rho, np.longdouble)
+        post = update(prior, measure, obs, params, sigma=sigma)
+        err_x, err_R = increment_errors(prior, post, dx.astype(float), dR.astype(float))
+        assert err_x <= 3e-8
+        assert err_R <= 3e-9
+
+    @pytest.mark.parametrize("eta", [0.2, 1.5, 2.0])
+    def test_matches_dense_formula_on_both_signs_of_beta(self, eta):
+        # beta = 2 - eta^2 is negative at eta = 1.5 and 2.
+        prior, _, _, measure, _, obs, _, rho = small_problem(0)
+        params = UkfParams(eta=eta)
+        sigma = sigma_points(prior.x_hat.x, prior.R, params)
+        dx, dR = dense_increments(sigma, measure, obs.y_real, rho)
+        post = update(prior, measure, obs, params, sigma=sigma)
+        err_x, err_R = increment_errors(prior, post, dx, dR)
+        assert err_x <= 1e-10
+        assert err_R <= 1e-10
+
+    def test_filter_weights_keep_innovation_above_noise_at_negative_beta(self):
+        # The 2n outer weights sum to 1/eta^2, so by Cauchy-Schwarz
+        # |beta| (m.u)^2 <= (1 - 2/eta^2) u^T Z^T diag(w) Z u: the
+        # rank-one term never outweighs the rest and S >= c I.
+        rng = np.random.default_rng(102)
+        params = UkfParams(eta=3.0)
+        measure = quadratic_map(rng, 6, 4)
+        sigma = sigma_points(rng.standard_normal(6), np.eye(6), params)
+        c = 1e-3
+        zeta = measure(sigma.points)
+        dz = zeta - sigma.w_mean @ zeta
+        S = (dz * sigma.w_cov[:, None]).T @ dz + c * np.eye(4)
+        assert np.sum(sigma.w_cov) - 2.0 == pytest.approx(-7.0)
+        assert np.linalg.eigvalsh((S + S.T) / 2)[0] >= c * (1.0 - 1e-9)
+        y = Observation(y_real=zeta[0] + 1.0, snr_rho=1.0 / (2.0 * c))
+        prior = TrackerState(ChannelState(1, sigma.points[0]), np.eye(6))
+        post = update(prior, measure, y, params, sigma=sigma)
+        assert np.all(np.isfinite(post.x_hat.x))
+
+    def test_indefinite_innovation_at_negative_beta_raises(self):
+        # A centre weight below the filter's range (beta < -eta^2) makes
+        # the rank-one term win: the dense S has a negative eigenvalue, and
+        # the (2n+1)-square step must see it from det K alone.
+        rng = np.random.default_rng(103)
+        params = UkfParams(eta=3.0)
+        measure = quadratic_map(rng, 6, 4)
+        sigma = sigma_points(np.zeros(6), np.eye(6), params)
+        w, beta, c = sigma.w_cov[1:], -4.0 * params.eta**2, 1e-3
+        Z = measure(sigma.points[1:]) - measure(sigma.points[:1])
+        m = w @ Z
+        S = (Z * w[:, None]).T @ Z + beta * np.outer(m, m) + c * np.eye(4)
+        assert np.linalg.eigvalsh(S)[0] < 0.0
+        y = Observation(y_real=np.zeros(4), snr_rho=1.0 / (2.0 * c))
+        with pytest.raises(SingularInnovation):
+            _partial_step(sigma.points, measure, y, w, beta, c)
+
+    def test_foreign_sigma_weights_raise_bad_scaling(self):
+        prior, sigma, _, measure, _, obs, params, _ = small_problem(0)
+        bump = np.r_[1e-3, np.zeros(sigma.w_mean.size - 1)]
+        faulted = SigmaSet(sigma.points, sigma.w_mean + bump, sigma.w_cov + bump)
+        with pytest.raises(BadScaling):
+            update(prior, measure, obs, params, sigma=faulted)
+
+    @pytest.mark.parametrize("eta", [1.5, 2.0])
+    def test_run_frame_completes_at_negative_beta(self, eta, monkeypatch):
+        monkeypatch.setattr(simulate, "FILTER_PARAMS", UkfParams(eta=eta))
+        rec = run_frame(ScenarioConfig(frame_length=5e-4), 0)
+        assert not rec.diverged
+        assert np.all(np.isfinite(rec.trace_wr))

@@ -208,6 +208,36 @@ class TestRankOneFactor:
             assert np.linalg.norm(R - c * np.outer(up, vp.conj())) >= best - 1e-12
 
     @pytest.mark.parametrize("shape", [(96, 96), (40, 96), (96, 40)])
+    def test_matches_eigh_pair(self, shape):
+        # The reference takes the top eigenvector of the same Gram matrix
+        # from a full eigh.
+        rng = np.random.default_rng(35)
+        for _ in range(3):
+            R = random_complex(rng, shape)
+            u, s, v = rank_one_factor(R)
+            if shape[0] <= shape[1]:
+                u_ref = np.linalg.eigh(R @ R.conj().T)[1][:, -1]
+                v_ref = R.conj().T @ u_ref
+                s_ref = np.linalg.norm(v_ref)
+            else:
+                v_ref = np.linalg.eigh(R.conj().T @ R)[1][:, -1]
+                u_ref = R @ v_ref
+                s_ref = np.linalg.norm(u_ref)
+            u_ref, v_ref = u_ref / np.linalg.norm(u_ref), v_ref / np.linalg.norm(v_ref)
+            phase = np.vdot(u_ref, u) / abs(np.vdot(u_ref, u))
+            np.testing.assert_allclose(u, phase * u_ref, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(v, phase * v_ref, rtol=0.0, atol=1e-10)
+            assert abs(s - s_ref) <= 1e-12 * s_ref
+
+    @pytest.mark.parametrize("shape", [(96, 96), (40, 96), (96, 40)])
+    def test_exact_rank_one_residual(self, shape):
+        rng = np.random.default_rng(36)
+        x, y = random_complex(rng, shape[0]), random_complex(rng, shape[1])
+        R = np.outer(x / np.linalg.norm(x), y.conj() / np.linalg.norm(y))
+        u, s, v = rank_one_factor(R)
+        assert np.linalg.norm(R - s * np.outer(u, v.conj())) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(96, 96), (40, 96), (96, 40)])
     def test_near_degenerate_residual_matches_svd(self, shape):
         # sigma_1 / sigma_2 = 1 + 1e-6: the Gram matrix cannot separate the
         # top two vectors, so only the fit's residual is compared.

@@ -230,16 +230,32 @@ class TestRecursiveUpdate:
 
 
 def stepwise_update(prior, measure, obs, params, steps):
-    """The recursive update, each partial step drawing sigma points from R."""
+    """The recursive update, each partial step drawing sigma points from R.
+
+    Each step writes out the (2n+1)-square system that ``update`` solves:
+    with ``Z`` and ``dX`` the measurement and state differences from the
+    centre point, ``E = [sqrt(w) Z; sqrt|beta| m]`` and
+    ``K = c I + E E^T diag(1, ..., sign beta)``, the increments are
+    ``v^T K^-1 E nu`` and ``v^T K^-1 E T`` with ``v = [sqrt(w) dX; 0]``.
+    """
     x, R = prior.x_hat.x, prior.R
     for i in range(steps):
-        st = channel_statistics(sigma_points(x, R, params), measure)
-        T = st.R_xh.T
+        sigma = sigma_points(x, R, params)
+        w = sigma.w_cov[1:]
+        beta = np.sum(sigma.w_cov) - 2.0
         fraction = 2.0**i / (2.0**steps - 1.0)
-        S = st.Pi + np.eye(obs.y_real.shape[0]) / (2.0 * obs.snr_rho * fraction)
-        solved = np.linalg.solve(S, np.column_stack([obs.y_real - st.h_hat, T]))
-        x = x + T.T @ solved[:, 0]
-        R = R - T.T @ solved[:, 1:]
+        c = 1.0 / (2.0 * obs.snr_rho * fraction)
+        zeta = measure(sigma.points)
+        Z = zeta[1:] - zeta[0]
+        m = w @ Z
+        E = np.vstack([np.sqrt(w)[:, None] * Z, np.sqrt(abs(beta)) * m])
+        V = np.sqrt(w)[:, None] * (sigma.points[1:] - sigma.points[0])
+        G = E @ E.T
+        K = G * np.r_[np.ones(w.size), np.sign(beta)] + c * np.eye(w.size + 1)
+        rhs = np.column_stack([E @ (obs.y_real - zeta[0] - m), G[:, :-1] @ V])
+        Y = np.linalg.solve(K, rhs)[:-1]
+        x = x + V.T @ Y[:, 0]
+        R = R - V.T @ Y[:, 1:]
         R = (R + R.T) / 2.0
         try:
             np.linalg.cholesky(R)

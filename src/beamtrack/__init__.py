@@ -12,7 +12,7 @@ Layers, bottom up:
 
 * :mod:`beamtrack.numerics` — PSD square roots, symmetric-definite
   generalized eigenproblems, Kronecker rearrangement/factorization.
-* :mod:`beamtrack.channel` — array geometry, virtual positions, steering
+* :mod:`beamtrack.channel` — array geometry, the state layout, steering
   vectors, channel matrices and their stacked-real form.
 * :mod:`beamtrack.dynamics` — state-transition/process-noise pairs at any
   time step, truth advancement, mean/covariance propagation.

@@ -2,13 +2,14 @@
 
 The channel is parameterized by a flat real state vector holding, per
 propagation path, a complex gain plus virtual position/velocity pairs for
-the transmit and receive sides.  A path's *virtual position* is its angle
-projected onto an imaginary plane one unit from the array (``upsilon =
-tan(theta)``), which makes constant angular motion linear in the state.
-All functions here are pure.
+the transmit and receive sides, placed by :class:`StateLayout`.  A path's
+*virtual position* is its angle projected onto an imaginary plane one unit
+from the array (``upsilon = tan(theta)``), which makes constant angular
+motion linear in the state.  All functions here are pure.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .errors import BadConfig, BeamtrackError, DimensionMismatch, SingularAngle
 
 __all__ = [
     "ArrayGeometry",
+    "StateLayout",
     "ChannelState",
     "virtual_to_spatial",
     "angle_to_virtual",
@@ -41,17 +43,49 @@ class ArrayGeometry:
             raise BadConfig(f"d_over_lambda must be positive, got {self.d_over_lambda}")
 
 
-# State vector layout, for L paths (length 6L):
-#   [gain block (2L) | transmit block (2L) | receive block (2L)]
-# gain block interleaves (Re gain_l, Im gain_l) per path; each side block
-# interleaves (position_l, velocity_l) per path.
+@dataclass(frozen=True)
+class StateLayout:
+    """Where each field of an L-path state sits; the one owner of the state layout.
+
+    The state is a real vector of length ``size = 6L``, ``[gains (2L) |
+    transmit side (2L) | receive side (2L)]``, interleaving (Re, Im) per path
+    in the gain block and (position, velocity) per path on each side.  Every
+    other attribute is a slice of one state, or of the last axis of a stack
+    as ``X[..., s]``; ``positions`` and ``velocities`` span both sides.
+    """
+
+    size: int
+    gain: slice
+    gain_re: slice
+    gain_im: slice
+    tx_pos: slice
+    tx_vel: slice
+    rx_pos: slice
+    rx_vel: slice
+    positions: slice
+    velocities: slice
+
+    @staticmethod
+    @cache
+    def of(L: int) -> "StateLayout":
+        """The layout for L paths, built once per L."""
+        tx, rx, end = 2 * L, 4 * L, 6 * L
+        return StateLayout(
+            size=end,
+            gain=slice(0, tx), gain_re=slice(0, tx, 2), gain_im=slice(1, tx, 2),
+            tx_pos=slice(tx, rx, 2), tx_vel=slice(tx + 1, rx, 2),
+            rx_pos=slice(rx, end, 2), rx_vel=slice(rx + 1, end, 2),
+            positions=slice(tx, end, 2), velocities=slice(tx + 1, end, 2),
+        )
+
+
 @dataclass
 class ChannelState:
     """Flat real state vector parameterizing an L-path channel.
 
     Attributes:
         L: number of propagation paths.
-        x: real vector of length 6L in the layout documented above.
+        x: real vector laid out as ``StateLayout.of(L)`` says.
     """
 
     L: int
@@ -59,9 +93,10 @@ class ChannelState:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
-        if self.x.shape != (6 * self.L,):
+        size = StateLayout.of(self.L).size
+        if self.x.shape != (size,):
             raise DimensionMismatch(
-                f"state for L={self.L} must have length {6 * self.L}, got {self.x.shape}"
+                f"state for L={self.L} must have length {size}, got {self.x.shape}"
             )
         if not np.all(np.isfinite(self.x)):
             raise BeamtrackError("state vector contains non-finite entries")
@@ -78,34 +113,23 @@ class ChannelState:
         parts = [np.asarray(p, dtype=float) for p in (tx_pos, tx_vel, rx_pos, rx_vel)]
         if any(p.shape != (L,) for p in parts):
             raise DimensionMismatch("all per-path components must have length L")
-        x = np.empty(6 * L)
-        x[0 : 2 * L : 2] = gains.real
-        x[1 : 2 * L : 2] = gains.imag
-        x[2 * L : 4 * L : 2] = parts[0]
-        x[2 * L + 1 : 4 * L : 2] = parts[1]
-        x[4 * L : 6 * L : 2] = parts[2]
-        x[4 * L + 1 : 6 * L : 2] = parts[3]
+        lay = StateLayout.of(L)
+        x = np.empty(lay.size)
+        x[lay.gain_re] = gains.real
+        x[lay.gain_im] = gains.imag
+        for where, part in zip((lay.tx_pos, lay.tx_vel, lay.rx_pos, lay.rx_vel), parts):
+            x[where] = part
         return cls(L, x)
 
     @property
     def gains(self) -> np.ndarray:
-        return self.x[0 : 2 * self.L : 2] + 1j * self.x[1 : 2 * self.L : 2]
+        lay = StateLayout.of(self.L)
+        return self.x[lay.gain_re] + 1j * self.x[lay.gain_im]
 
-    @property
-    def tx_positions(self) -> np.ndarray:
-        return self.x[2 * self.L : 4 * self.L : 2]
-
-    @property
-    def tx_velocities(self) -> np.ndarray:
-        return self.x[2 * self.L + 1 : 4 * self.L : 2]
-
-    @property
-    def rx_positions(self) -> np.ndarray:
-        return self.x[4 * self.L : 6 * self.L : 2]
-
-    @property
-    def rx_velocities(self) -> np.ndarray:
-        return self.x[4 * self.L + 1 : 6 * self.L : 2]
+    tx_positions = property(lambda self: self.x[StateLayout.of(self.L).tx_pos])
+    tx_velocities = property(lambda self: self.x[StateLayout.of(self.L).tx_vel])
+    rx_positions = property(lambda self: self.x[StateLayout.of(self.L).rx_pos])
+    rx_velocities = property(lambda self: self.x[StateLayout.of(self.L).rx_vel])
 
 
 def virtual_to_spatial(upsilon, geom: ArrayGeometry):
@@ -149,11 +173,12 @@ def steering_factors(
     forming the M_R x M_T matrix.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != 6 * L:
-        raise DimensionMismatch(f"state rows must have length {6 * L}, got {X.shape[1]}")
-    gains = X[:, 0 : 2 * L : 2] + 1j * X[:, 1 : 2 * L : 2]
-    a_t = _steering_columns(virtual_to_spatial(X[:, 2 * L : 4 * L : 2], tx), tx.num_antennas)
-    a_r = _steering_columns(virtual_to_spatial(X[:, 4 * L : 6 * L : 2], rx), rx.num_antennas)
+    lay = StateLayout.of(L)
+    if X.shape[1] != lay.size:
+        raise DimensionMismatch(f"state rows must have length {lay.size}, got {X.shape[1]}")
+    gains = X[:, lay.gain_re] + 1j * X[:, lay.gain_im]
+    a_t = _steering_columns(virtual_to_spatial(X[:, lay.tx_pos], tx), tx.num_antennas)
+    a_r = _steering_columns(virtual_to_spatial(X[:, lay.rx_pos], rx), rx.num_antennas)
     return gains, a_t, a_r
 
 

@@ -1,13 +1,13 @@
 """State evolution: first-order Gauss-Markov gains plus constant-velocity angles.
 
-The transition for a step of ``dt`` seconds factors into independent blocks.
-Gain components decay by ``beta_dt = beta ** (dt / T_S)`` and receive fresh
-Gaussian innovation with variance ``(1 - beta_dt**2) / 2`` per real component,
-which keeps every complex gain at unit mean power in steady state.  Each
-(position, velocity) pair advances by the usual constant-velocity matrix
-``[[1, dt], [0, 1]]`` with process noise ``(dt / T_S) * q_upsilon``, a
-random-walk scaling that preserves the per-reference-step statistics no matter
-how finely a step is subdivided.
+The transition for a step of ``dt`` seconds acts on the fields of
+``channel.StateLayout``.  Gains decay by ``beta_dt = beta ** (dt / T_S)`` and
+receive fresh Gaussian innovation with variance ``(1 - beta_dt**2) / 2`` per
+real component, which keeps every complex gain at unit mean power in steady
+state.  Each position moves by dt times its velocity, and (position,
+velocity) receive process noise ``(dt / T_S) * q_upsilon``, a random-walk
+scaling that preserves the per-reference-step statistics no matter how
+finely a step is subdivided.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelState
+from .channel import ChannelState, StateLayout
 from .errors import BadConfig, DimensionMismatch, NonpositiveStep
-from .numerics import matrix_sqrt_psd
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class DynamicsModel:
 
 @dataclass(frozen=True)
 class TransitionPair:
-    """Transition matrix and process-noise covariance for one step of dt seconds."""
+    """Transition matrix and diagonal process-noise covariance for one step of dt seconds."""
 
     A: np.ndarray
     Q: np.ndarray
@@ -76,41 +75,31 @@ def build_transition(model: DynamicsModel, dt: float) -> TransitionPair:
     """
     if dt <= 0.0:
         raise NonpositiveStep(f"step must be positive, got {dt}")
-    L = model.L
+    lay = StateLayout.of(model.L)
     ratio = dt / model.T_S
     beta_dt = model.beta ** ratio
 
-    pair = np.array([[1.0, dt], [0.0, 1.0]])
-    A = np.zeros((6 * L, 6 * L))
-    A[: 2 * L, : 2 * L] = beta_dt * np.eye(2 * L)
-    side = np.kron(np.eye(2 * L), pair)
-    A[2 * L :, 2 * L :] = side
+    A = np.eye(lay.size)
+    A[lay.gain, lay.gain] *= beta_dt
+    np.fill_diagonal(A[lay.positions, lay.velocities], dt)
 
-    q_diag = np.empty(6 * L)
-    q_diag[: 2 * L] = (1.0 - beta_dt**2) / 2.0
-    q_diag[2 * L :] = np.tile(ratio * model.q_upsilon, 2 * L)
+    q_diag = np.empty(lay.size)
+    q_diag[lay.gain] = (1.0 - beta_dt**2) / 2.0
+    q_diag[lay.positions] = ratio * model.q_upsilon[0]
+    q_diag[lay.velocities] = ratio * model.q_upsilon[1]
     return TransitionPair(A=A, Q=np.diag(q_diag))
-
-
-def _check_state(x: ChannelState, tp: TransitionPair) -> None:
-    if x.x.shape[0] != tp.A.shape[0]:
-        raise DimensionMismatch(
-            f"state has length {x.x.shape[0]} but transition is {tp.A.shape[0]}-dimensional"
-        )
 
 
 def advance_truth(
     x: ChannelState, tp: TransitionPair, rng: np.random.Generator
 ) -> ChannelState:
     """Advances a true state one step, adding process noise drawn from rng."""
-    _check_state(x, tp)
+    if x.x.shape[0] != tp.A.shape[0]:
+        raise DimensionMismatch(
+            f"state has length {x.x.shape[0]} but transition is {tp.A.shape[0]}-dimensional"
+        )
     z = rng.standard_normal(tp.Q.shape[0])
-    diag = np.diagonal(tp.Q)
-    if np.count_nonzero(tp.Q - np.diag(diag)) == 0:
-        u = np.sqrt(diag) * z
-    else:
-        u = matrix_sqrt_psd(tp.Q) @ z
-    return ChannelState(x.L, tp.A @ x.x + u)
+    return ChannelState(x.L, tp.A @ x.x + np.sqrt(np.diagonal(tp.Q)) * z)
 
 
 def predicted_mean(model: DynamicsModel, x: np.ndarray, horizon) -> np.ndarray:
@@ -125,11 +114,11 @@ def predicted_mean(model: DynamicsModel, x: np.ndarray, horizon) -> np.ndarray:
     h = np.asarray(horizon, dtype=float)
     if np.any(h < 0.0):
         raise NonpositiveStep(f"horizon must be nonnegative, got {horizon}")
-    L = model.L
+    lay = StateLayout.of(model.L)
     h = h[..., None]
-    out = np.array(np.broadcast_to(np.asarray(x, dtype=float), h.shape[:-1] + (6 * L,)))
-    out[..., : 2 * L] *= model.beta ** (h / model.T_S)
-    out[..., 2 * L :: 2] += h * out[..., 2 * L + 1 :: 2]
+    out = np.array(np.broadcast_to(np.asarray(x, dtype=float), h.shape[:-1] + (lay.size,)))
+    out[..., lay.gain] *= model.beta ** (h / model.T_S)
+    out[..., lay.positions] += h * out[..., lay.velocities]
     return out
 
 

@@ -1,11 +1,15 @@
 """Tests for array geometry and channel synthesis."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from beamtrack.channel import (
     ArrayGeometry,
     ChannelState,
+    StateLayout,
     angle_to_virtual,
     channel_matrix,
     real_channel_vector,
@@ -15,6 +19,12 @@ from beamtrack.channel import (
     virtual_to_spatial,
 )
 from beamtrack.errors import DimensionMismatch, SingularAngle
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "beamtrack"
+
+# A state offset or stride written out from L: ``2 * L``, ``4 * cfg.L``,
+# ``6 * model.L``, ``x[1::2]``, ``x[a : b : 2]``.
+STATE_OFFSET = re.compile(r"[246] \* (cfg\.|model\.|self\.)?L\b|:: ?2\]|: 2\]")
 
 GEOM2 = ArrayGeometry(2)
 GEOM_HALF = ArrayGeometry(4, 0.5)
@@ -201,3 +211,51 @@ class TestChannelState:
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatch):
             ChannelState(2, np.zeros(10))
+
+
+class TestStateLayout:
+    FIELDS = ("gain_re", "gain_im", "tx_pos", "tx_vel", "rx_pos", "rx_vel")
+
+    @pytest.mark.parametrize("L", [1, 4])
+    def test_fields_partition_the_state(self, L):
+        lay = StateLayout.of(L)
+        assert lay.size == 6 * L
+        index = np.arange(lay.size)
+        covered = np.concatenate([index[getattr(lay, name)] for name in self.FIELDS])
+        assert all(index[getattr(lay, name)].shape == (L,) for name in self.FIELDS)
+        np.testing.assert_array_equal(np.sort(covered), index)
+
+    @pytest.mark.parametrize("L", [1, 4])
+    def test_spanning_slices_join_their_fields(self, L):
+        lay = StateLayout.of(L)
+        index = np.arange(lay.size)
+
+        def union(*names):
+            return np.sort(np.concatenate([index[getattr(lay, n)] for n in names]))
+
+        np.testing.assert_array_equal(index[lay.gain], union("gain_re", "gain_im"))
+        np.testing.assert_array_equal(index[lay.positions], union("tx_pos", "rx_pos"))
+        np.testing.assert_array_equal(index[lay.velocities], union("tx_vel", "rx_vel"))
+
+    def test_slices_index_the_last_axis_of_a_stack(self):
+        st = ChannelState.from_parts(
+            [1 + 2j, 3 - 1j], [0.1, 0.2], [10.0, 20.0], [-0.3, 0.4], [-5.0, 6.0]
+        )
+        stack = np.stack([st.x, 2.0 * st.x])[None]  # (1, 2, 12)
+        lay = StateLayout.of(2)
+        np.testing.assert_array_equal(stack[..., lay.tx_pos], [[[0.1, 0.2], [0.2, 0.4]]])
+        np.testing.assert_array_equal(stack[..., lay.rx_vel][0, 1], [-10.0, 12.0])
+
+    def test_built_once_per_length(self):
+        assert StateLayout.of(3) is StateLayout.of(3)
+        assert StateLayout.of(3) != StateLayout.of(2)
+
+    def test_only_channel_computes_state_offsets(self):
+        found = [
+            f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py"))
+            if path.name != "channel.py"
+            for number, line in enumerate(path.read_text().splitlines(), start=1)
+            if STATE_OFFSET.search(line)
+        ]
+        assert not found, "state offsets outside channel.StateLayout:\n" + "\n".join(found)

@@ -209,6 +209,7 @@ class TestSimulateCommand:
             "rho_db=160",
             "rho_db=300",
             "beta=1.5",
+            "beta=1e-170",
             "q_upsilon=1,2,3",
             "d_over_lambda=0",
             "init_pos_var=inf",

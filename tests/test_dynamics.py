@@ -66,6 +66,26 @@ class TestBuildTransition:
         with pytest.raises(BadConfig):
             DynamicsModel(L=1, beta=0.9, T_S=TS, q_upsilon=np.array([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("L", [1, 4])
+    @pytest.mark.parametrize("dt", [TS / 100.0, 2.5 * TS])
+    def test_matches_entrywise_reference(self, L, dt):
+        model = reference_model(L=L, beta=0.905, q=(3e-4, 7e1))
+        beta_dt = 0.905 ** (dt / TS)
+        A, Q = np.zeros((6 * L, 6 * L)), np.zeros((6 * L, 6 * L))
+        for l in range(L):
+            for i in (2 * l, 2 * l + 1):  # Re and Im of gain l
+                A[i, i] = beta_dt
+                Q[i, i] = (1.0 - beta_dt**2) / 2.0
+            for side in (2 * L, 4 * L):  # position then velocity of path l
+                pos, vel = side + 2 * l, side + 2 * l + 1
+                A[pos, pos] = A[vel, vel] = 1.0
+                A[pos, vel] = dt
+                Q[pos, pos] = dt / TS * 3e-4
+                Q[vel, vel] = dt / TS * 7e1
+        tp = build_transition(model, dt)
+        np.testing.assert_array_equal(tp.A, A)
+        np.testing.assert_array_equal(tp.Q, Q)
+
     def test_two_half_steps_compose(self):
         model = reference_model(L=2, beta=0.905)
         half = build_transition(model, TS / 2.0)

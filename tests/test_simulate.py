@@ -23,12 +23,14 @@ from beamtrack.errors import BadConfig, EmptyInput, ZeroChannel
 from beamtrack.simulate import (
     DIVERGENCE_NORM,
     FILTER_PARAMS,
+    MIN_BETA,
     UPDATE_STEPS,
     RunRecord,
     ScenarioConfig,
     _BLAS_THREAD_VARS,
     _beam_gains,
     _dominant_beams,
+    _initial_covariance,
     _noisy_estimate,
     _spectral_gains,
     aggregate_runs,
@@ -190,6 +192,11 @@ class TestScenarioConfig:
         with pytest.raises(BadConfig):
             ScenarioConfig(N_T=17)
 
+    def test_beta_floor(self):
+        assert ScenarioConfig(beta=MIN_BETA).beta == MIN_BETA
+        with pytest.raises(BadConfig, match="underflow"):
+            ScenarioConfig(beta=MIN_BETA / 10.0)
+
     def test_rejects_bad_first_period_count(self):
         with pytest.raises(BadConfig):
             ScenarioConfig(first_N_T=17)
@@ -205,6 +212,17 @@ class TestGenerateScenario:
         truth, est, R0 = generate_scenario(cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(est.x, truth.x)
         np.testing.assert_array_equal(R0, np.zeros((6, 6)))
+
+    @pytest.mark.parametrize("L", [1, 4])
+    def test_initial_covariance_matches_entrywise_reference(self, L):
+        cfg = small_config(L=L, init_pos_var=0.3, init_vel_var=2e5, init_gain_var=0.02)
+        expected = np.zeros((6 * L, 6 * L))
+        for l in range(L):
+            expected[2 * l, 2 * l] = expected[2 * l + 1, 2 * l + 1] = 0.02 / 2.0
+            for side in (2 * L, 4 * L):
+                expected[side + 2 * l, side + 2 * l] = 0.3
+                expected[side + 2 * l + 1, side + 2 * l + 1] = 2e5
+        np.testing.assert_array_equal(_initial_covariance(cfg), expected)
 
     def test_initial_covariance_layout(self):
         cfg = small_config(init_pos_var=0.1, init_vel_var=1e6, init_gain_var=0.01)

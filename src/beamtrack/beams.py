@@ -17,12 +17,15 @@ them, so this module draws no sigma points of its own, and weights every
 state component equally.  Other weights and dense covariances go through
 ``BeamDesignInput`` and ``unconstrained_optimal_directions`` directly.
 
-The pencil is solved in the sigma-point subspace.  The channel covariance
-comes factored as Pi = F Omega F^T; from sigma statistics F = D^T holds the
-2n+1 sigma deviations and Omega = diag(w_cov).  So B = Pi + I/(2 rho) is a
-multiple of the identity plus a term of rank at most 2n+1, and B^-1 U
-needs one reduced QR of F and a (2n+1)-sized solve instead of a Cholesky
-factorization in channel space.
+The pencil is solved in the sigma-point subspace, with the update's own
+push-through system (``tracker.push_through_solve``).  The channel
+covariance comes factored as Pi = F Omega F^T and the cross-covariance in
+the factor's coordinates as R_xh = T^T F^T; from sigma statistics F = E^T
+holds the 2n+1 weighted differences from the centre point and Omega is the
+sign core J.  With K = c I + Omega F^T F and c = 1/(2 rho), B^-1 U = F K^-1 T
+and U^T B^-1 U = T^T F^T F K^-1 T: one (2n+1)-square solve, and nothing in
+channel space is factored.  U^T B^-1 U is the covariance reduction the
+update would make if it measured the whole channel at the sounding's SNR.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
     SingularB,
 )
 from .numerics import KroneckerFactorDims, kron_rearrange, rank_one_factor, unvec
-from .tracker import ChannelStats
+from .tracker import ChannelStats, push_through_solve
 
 # Relative eigenvalue floor separating signal directions from round-off.
 SIGNAL_RTOL = 1e-9
@@ -51,17 +54,20 @@ class BeamDesignInput:
     """Prior channel statistics and sizing for one beam-design problem.
 
     Attributes:
-        R_xh: State-to-channel cross-covariance, 6L x 2*M_R*M_T.
-        Pi_factors: The channel covariance from the sigma transform as a pair
-            (F, Omega) with Pi_hat = F Omega F^T, F of shape m x k and Omega
-            k x k symmetric; a dense Pi_hat is the pair (I, Pi_hat).
+        T: Cross-covariance in the factor's coordinates, k x 6L: the
+            state-to-channel cross-covariance is R_xh = T^T F^T.
+        Pi_factors: The channel covariance as a pair (F, Omega) with
+            Pi_hat = F Omega F^T, F of shape m x k and Omega k x k symmetric
+            with at most one negative eigenvalue.  A dense Pi_hat is the
+            pair (I, Pi_hat) with T = R_xh^T; sigma statistics give
+            (E^T, J) with T their state factor.
         W: Per-state-component weights, a vector of strictly positive entries.
         rho: Linear SNR of the upcoming sounding.
         num_tx_beams: Transmit beam count N_T.
         num_rx_beams: Receive beam count N_R.
     """
 
-    R_xh: np.ndarray
+    T: np.ndarray
     Pi_factors: tuple[np.ndarray, np.ndarray]
     W: np.ndarray
     rho: float
@@ -69,18 +75,18 @@ class BeamDesignInput:
     num_rx_beams: int
 
     def __post_init__(self):
-        R_xh = np.asarray(self.R_xh, dtype=float)
+        T = np.asarray(self.T, dtype=float)
         F, Omega = (np.asarray(a, dtype=float) for a in self.Pi_factors)
         W = np.asarray(self.W, dtype=float)
-        if W.shape != (R_xh.shape[0],):
+        if T.ndim != 2 or W.shape != (T.shape[1],):
             raise DimensionMismatch(
-                f"weights have shape {W.shape}, expected ({R_xh.shape[0]},)"
+                f"weights have shape {W.shape}, cross-covariance factor {T.shape}"
             )
         if np.any(W <= 0.0):
             raise BadConfig("weights must be strictly positive")
-        if F.ndim != 2 or F.shape[0] != R_xh.shape[1]:
+        if F.ndim != 2 or F.shape[1] != T.shape[0]:
             raise DimensionMismatch(
-                f"Pi_hat factor shape {F.shape} does not match R_xh width {R_xh.shape[1]}"
+                f"Pi_hat factor shape {F.shape} does not match T of shape {T.shape}"
             )
         if Omega.shape != (F.shape[1], F.shape[1]):
             raise DimensionMismatch(
@@ -90,7 +96,7 @@ class BeamDesignInput:
             raise NonpositiveSnr(f"snr must be positive, got {self.rho}")
         if self.num_tx_beams < 1 or self.num_rx_beams < 1:
             raise BadBeamCount("need at least one beam per side")
-        object.__setattr__(self, "R_xh", R_xh)
+        object.__setattr__(self, "T", T)
         object.__setattr__(self, "Pi_factors", (F, Omega))
         object.__setattr__(self, "W", W)
 
@@ -115,46 +121,33 @@ def unconstrained_optimal_directions(
     with A = R_xh^T W^-1 R_xh and B = Pi_hat + (1/(2 rho)) I, as unit-norm
     columns together with their eigenvalues in descending order.
 
-    A = U U^T with U = R_xh^T W^-1/2 has rank at most the state dimension n,
-    so every nonzero eigenpair comes from the n x n matrix
+    A = U U^T with U = R_xh^T W^-1/2 = F T W^-1/2 has rank at most the state
+    dimension n, so every nonzero eigenpair comes from the n x n matrix
     U^T B^-1 U = Q diag(lam) Q^T as v = B^-1 U q.  Requested slots beyond n
     are zero columns with eigenvalue zero.  Each column's sign is fixed so
     that its largest-magnitude entry is positive.
 
-    B^-1 U comes from the factors Pi_hat = F Omega F^T.  With the reduced QR
-    F = Q_f R_f, c = 1/(2 rho) and the k x k core M = R_f Omega R_f^T + c I,
-
-        B^-1 U = (U - Q_f Q_f^T U) / c + Q_f M^-1 Q_f^T U,
-
-    exactly, for any U.  B is positive definite exactly when M is, which a
-    Cholesky factorization of M checks.  For sigma statistics k is 2n+1; a
-    dense Pi_hat is the pair (I, Pi_hat), k = m.
+    Both come from ``push_through_solve`` on the factors: with
+    Y = K^-1 T W^-1/2, B^-1 U = F Y and U^T B^-1 U = W^-1/2 T^T F^T F Y.
+    B is positive definite exactly when det K > 0, for a core with at most
+    one negative eigenvalue; otherwise SingularB is raised.
     """
     n_dirs = inp.num_tx_beams * inp.num_rx_beams
-    U = inp.R_xh.T / np.sqrt(inp.W)
-    m = U.shape[0]
     F, Omega = inp.Pi_factors
     c = 1.0 / (2.0 * inp.rho)
-    Q_f, R_f = np.linalg.qr(F)
-    M = R_f @ Omega @ R_f.T
-    M = (M + M.T) / 2.0 + c * np.eye(M.shape[0])
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise SingularB("Pi_hat + I/(2 rho) is not positive definite") from None
-    QtU = Q_f.T @ U
-    BiU = (U - Q_f @ QtU) / c + Q_f @ np.linalg.solve(M, QtU)
-    C = U.T @ BiU
+    Y, C = push_through_solve(
+        F.T, Omega, c, inp.T / np.sqrt(inp.W), check=True, error=SingularB
+    )
     w, Q = np.linalg.eigh((C + C.T) / 2.0)
     keep = min(n_dirs, w.shape[0])
     order = np.argsort(w)[::-1][:keep]
-    V = BiU @ Q[:, order]
+    V = F @ (Y @ Q[:, order])
     norms = np.linalg.norm(V, axis=0)
     V = V / np.where(norms > 0.0, norms, 1.0)
     peak = np.abs(V).argmax(axis=0)
     V = V * np.where(V[peak, np.arange(keep)] < 0.0, -1.0, 1.0)
 
-    eigvecs = np.zeros((m, n_dirs))
+    eigvecs = np.zeros((F.shape[0], n_dirs))
     eigvals = np.zeros(n_dirs)
     eigvecs[:, :keep] = V
     eigvals[:keep] = w[order]
@@ -346,12 +339,10 @@ def design_beams(
     dims = KroneckerFactorDims(
         tx.num_antennas, num_tx_beams, rx.num_antennas, num_rx_beams
     )
-    if np.linalg.norm(stats.R_xh) <= 1e-12:
-        return _fallback(dims)
     inp = BeamDesignInput(
-        R_xh=stats.R_xh,
-        Pi_factors=(stats.D.T, np.diag(stats.w_cov)),
-        W=np.ones(stats.R_xh.shape[0]),
+        T=stats.T,
+        Pi_factors=(stats.E.T, stats.J),
+        W=np.ones(stats.T.shape[1]),
         rho=rho,
         num_tx_beams=num_tx_beams,
         num_rx_beams=num_rx_beams,

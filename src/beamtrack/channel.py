@@ -213,6 +213,8 @@ def real_channel_vectors(
     calls.
     """
     gains, a_t, a_r = steering_factors(X, L, tx, rx)
-    H = np.einsum("prl,pl,ptl->prt", a_r, gains, a_t.conj())  # (P, M_R, M_T)
-    hv = H.transpose(0, 2, 1).reshape(H.shape[0], -1)  # column-major vec per row
+    # H_p^T = conj(a_T) (diag(g) a_R^T) is M_T x M_R, so its row-major
+    # flattening is the column-major vec of H_p.
+    H_t = a_t.conj() @ np.swapaxes(a_r * gains[:, None, :], 1, 2)
+    hv = H_t.reshape(H_t.shape[0], -1)
     return np.concatenate([hv.real, hv.imag], axis=1)

@@ -14,17 +14,24 @@ moments before the beams, and so the measurement map, exist), and finally
 computed once per period.  The measurement noise comes from the observation's
 own SNR.
 
-The channel covariance is kept factored.  With 2n+1 sigma points and their
-deviations ``D`` from the mean channel (one row per point), the covariance is
-``Pi = D^T diag(w_cov) D``: rank at most 2n+1 in a channel space of
-2*M_R*M_T real dimensions.  Beam design solves its pencil in the span of
-``D^T`` (see ``beams``), so the dense covariance is never formed on the run
-path; ``ChannelStats.Pi`` builds it on demand for other callers.
-The update never sees the channel at all: it takes a batched state-to-
-measurement map (``sounding.observation_map`` on the run path) and works
-with the sigma points' differences from the centre point.  Each partial step
-solves one (2n+1)-square system; the 2*N_T*N_R-square innovation covariance
-is never formed, and no negative weight multiplies a deviation.
+The sigma moments are kept factored.  With 2n+1 sigma points, their images
+``zeta`` and their differences from the centre point, the covariance of the
+images is ``E^T J E`` and the state cross-covariance ``T^T E`` (see
+``ChannelStats``): rank at most 2n+1 in a channel space of 2*M_R*M_T real
+dimensions, and no negative weight multiplies a deviation.  Adding noise
+``c I`` to such a covariance and solving against it takes one
+(2n+1)-square system, ``push_through_solve``.  That one kernel serves both
+consumers of the prior's sigma points:
+
+* beam design (``beams``) solves its pencil through it, from the channel
+  factors of ``channel_statistics``, so nothing in channel space is
+  factored and the dense covariance is never formed on the run path
+  (``ChannelStats.Pi`` and ``ChannelStats.R_xh`` build them on demand);
+* the update builds the same factors from a batched state-to-measurement
+  map (``sounding.observation_map`` on the run path); each partial step
+  solves one (2n+1)-square system, and the 2*N_T*N_R-square innovation
+  covariance is never formed.
+
 All linear algebra here is numpy's, so one BLAS library serves the loop.
 Each partial step of the update factors its posterior once: the Cholesky
 factor of ``(n + lambda) R`` checks it and roots the next step's sigma points.
@@ -32,6 +39,7 @@ factor of ``(n + lambda) R`` checks it and roots the next step's sigma points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,26 +97,43 @@ class SigmaSet:
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Sigma-transform moments of the stacked-real channel, for beam design.
+    """Sigma-transform moments of the stacked-real channel, kept factored.
+
+    With the images ``zeta`` of the 2n+1 sigma points, ``Z = zeta[1:] -
+    zeta[0]``, the points' differences ``dX`` from the centre point, the
+    outer weights ``w``, ``m = w Z`` and ``s = w dX``, the factors are
+
+        ``E = [sqrt(w) Z; sqrt|beta| m]``, ``J = diag(1, ..., sign beta)``,
+        ``T = [sqrt(w) (dX - s); 0]``,
+
+    where ``beta`` is the sum of the covariance weights less two.  The
+    sigma-weighted moments are exactly ``h_hat = zeta[0] + m``,
+    ``Pi = E^T J E`` and ``R_xh = T^T E`` (deviations of the state taken
+    from the centre point; ``s`` is zero for a symmetric set, up to the
+    rounding of its points).  No negative weight multiplies a deviation.
 
     Attributes:
-        h_hat: Weighted mean of the transformed points.
-        D: Deviations of the transformed points from h_hat, one row per
-            sigma point; the covariance is ``D^T diag(w_cov) D``.
-        w_cov: Covariance weights of the sigma points.
-        R_xh: Cross-covariance between state and transformed points.
+        h_hat: Predicted (weighted mean) channel.
+        E: Weighted channel factor, (2n+1) x m.
+        J: Sign core, (2n+1)-square diagonal.
+        T: Weighted state factor, (2n+1) x n; its last row is zero.
     """
 
     h_hat: np.ndarray
-    D: np.ndarray
-    w_cov: np.ndarray
-    R_xh: np.ndarray
+    E: np.ndarray
+    J: np.ndarray
+    T: np.ndarray
 
     @property
     def Pi(self) -> np.ndarray:
-        """Weighted covariance of the transformed points, formed densely."""
-        Pi = (self.D * self.w_cov[:, None]).T @ self.D
+        """Sigma covariance of the channel, formed densely."""
+        Pi = (self.J @ self.E).T @ self.E
         return (Pi + Pi.T) / 2.0
+
+    @property
+    def R_xh(self) -> np.ndarray:
+        """State-to-channel cross-covariance, formed densely."""
+        return self.T.T @ self.E
 
 
 def sigma_points(x_hat: np.ndarray, R: np.ndarray, params: UkfParams) -> SigmaSet:
@@ -171,23 +196,99 @@ def make_channel_fn(L: int, tx: ArrayGeometry, rx: ArrayGeometry):
 
 
 def channel_statistics(sigma: SigmaSet, channel_fn) -> ChannelStats:
-    """Pushes sigma points through a batched channel map and collects moments.
+    """Pushes sigma points through a batched channel map and factors the moments.
 
     ``channel_fn`` maps the (2n+1, n) points to their stacked-real channels,
     one row each (``make_channel_fn``).  Beam design consumes the result;
-    ``update`` does not call this.
+    ``update`` builds the same factors from its measurement map.
+
+    Raises:
+        BadScaling: the outer mean and covariance weights differ, as no
+            set from ``sigma_points`` does.
     """
+    w = sigma.w_cov[1:]
+    if not np.array_equal(sigma.w_mean[1:], w):
+        raise BadScaling("outer mean and covariance weights differ")
+    beta = _beta(sigma.w_cov)
     zeta = np.asarray(channel_fn(sigma.points), dtype=float)
-    if zeta.shape[0] != sigma.points.shape[0]:
+    h_hat, E, T = _centre_factors(zeta, sigma.points, w, beta)
+    return ChannelStats(h_hat=h_hat, E=E, J=_sign_core(w.size + 1, beta), T=T)
+
+
+def _centre_factors(zeta, points, w, beta: float):
+    """Predicted image and the factors E and T of ``ChannelStats``.
+
+    ``zeta`` holds the images of the sigma ``points``, one row each, and
+    ``w`` the outer weights, which must be equal for mean and covariance.
+    """
+    if zeta.shape[0] != points.shape[0]:
         raise DimensionMismatch(
-            f"channel map returned {zeta.shape[0]} rows for "
-            f"{sigma.points.shape[0]} sigma points"
+            f"map returned {zeta.shape[0]} rows for {points.shape[0]} sigma points"
         )
-    h_hat = sigma.w_mean @ zeta
-    dz = zeta - h_hat
-    dx = sigma.points - sigma.points[0]
-    R_xh = (dx * sigma.w_cov[:, None]).T @ dz
-    return ChannelStats(h_hat=h_hat, D=dz, w_cov=sigma.w_cov, R_xh=R_xh)
+    Z = zeta[1:] - zeta[0]
+    m = w @ Z
+    root_w = np.sqrt(w)[:, None]
+    E = np.empty((points.shape[0], zeta.shape[1]))
+    np.multiply(root_w, Z, out=E[:-1])
+    np.multiply(np.sqrt(abs(beta)), m, out=E[-1])
+    dX = points[1:] - points[0]
+    T = np.zeros(points.shape)
+    np.multiply(root_w, dX - w @ dX, out=T[:-1])
+    return zeta[0] + m, E, T
+
+
+def _beta(w_cov) -> float:
+    """Sum of the covariance weights less two, the weight of the mean-shift term.
+
+    Summed exactly: at small eta the centre weight is about -1/eta^2, so a
+    rounded sum would be off by about 1/eta^2 ulps, and the mean-shift term
+    carries most of the covariance there.
+    """
+    return math.fsum(w_cov) - 2.0
+
+
+def _sign_core(k: int, beta: float) -> np.ndarray:
+    """``J = diag(1, ..., 1, sign beta)`` of order k."""
+    J = np.eye(k)
+    if beta < 0.0:
+        J[-1, -1] = -1.0
+    return J
+
+
+def push_through_solve(E, core, c: float, T, check: bool, error=SingularInnovation):
+    """Solves a factored covariance plus noise in the factor's subspace.
+
+    For the covariance ``E^T core E`` (``E`` of shape k x p, ``core``
+    symmetric k x k) and the noise level ``c``, ``B = c I + E^T core E`` is
+    p-square, but the push-through identity ``B E^T = E^T K`` with
+    ``K = c I + core G`` and ``G = E E^T`` gives ``B^-1 E^T = E^T K^-1``.
+    So for a cross-covariance ``T^T E`` (``T`` of shape k x r)
+
+        ``B^-1 E^T T = E^T Y`` and ``T^T E B^-1 E^T T = T^T G Y``,
+
+    with ``Y = K^-1 T``: one k-square solve.  The second is the reduction of
+    the state covariance by a measurement of the whole factored vector at
+    noise variance ``c``, and the Gram matrix of the beam pencil.
+
+    B is positive definite exactly when every eigenvalue of K is positive.
+    With ``check`` set, ``det K > 0`` is required, which decides that when
+    the core has at most one negative eigenvalue, as the sign core ``J`` of
+    sigma statistics has.
+
+    Returns:
+        ``(Y, T^T G Y)``.
+
+    Raises:
+        error: ``check`` is set and ``det K <= 0``.
+    """
+    k = E.shape[0]
+    G = E @ E.T
+    K = core @ G
+    K.flat[:: k + 1] += c
+    if check and np.linalg.slogdet(K)[0] <= 0.0:
+        raise error("noise plus factored covariance is not positive definite")
+    Y = np.linalg.solve(K, T)
+    return Y, (G @ T).T @ Y
 
 
 def _condition_covariance(R: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +391,7 @@ def update(
         raise BadScaling("sigma weights are not those of the filter's parameters")
     points = sigma.points
     w = w_cov[1:]
-    beta = float(np.sum(w_cov)) - 2.0
+    beta = _beta(w_cov)
     fractions = 2.0 ** np.arange(steps) / (2.0**steps - 1.0)
     for step, fraction in enumerate(fractions):
         if step > 0:
@@ -305,18 +406,13 @@ def update(
 def _partial_step(points, measure, y: Observation, w, beta: float, c: float):
     """Mean and covariance increments of one unscented update at noise variance c.
 
-    With measurements ``zeta`` of the points, ``Z = zeta[1:] - zeta[0]`` and
-    ``dX = points[1:] - points[0]``, the outer weights ``w`` and
-    ``m = w Z``, the predicted measurement is ``zeta[0] + m`` and the sigma
-    covariance is exactly ``Z^T diag(w) Z + beta m m^T`` (``beta`` is the sum
-    of the covariance weights less two).  No negative weight multiplies a
-    deviation, so a large negative centre weight costs no digits.  Stacking
-    ``E = [sqrt(w) Z; sqrt|beta| m^T]`` and ``J = diag(1, ..., sign beta)``
-    gives ``S = c I + E^T J E``, and the symmetric set (``sum w dX = 0``)
-    gives the cross-covariance ``T = E^T v`` with ``v = [sqrt(w) dX; 0]``,
-    so ``E T = G v`` with ``G = E E^T``.  The push-through identity
-    ``E S^-1 = K^-1 E``, with ``K = c I + G J`` of order 2n+1, turns the
-    gain into one solve: ``dx = v^T K^-1 E nu`` and ``dR = v^T K^-1 G v``.
+    The images ``zeta`` of the points give the factors of ``ChannelStats``
+    in measurement space: the predicted measurement ``h = zeta[0] + m``, the
+    innovation covariance ``S = c I + E^T J E`` and the cross-covariance
+    ``T^T E``.  No negative weight multiplies a deviation, so a large
+    negative centre weight costs no digits.  With ``Y = K^-1 T`` from
+    ``push_through_solve``, the gain gives ``dx = T^T E S^-1 nu = Y^T E nu``
+    and ``dR = T^T G Y``; S itself, 2*N_T*N_R square, is never formed.
 
     For ``beta >= 0`` S is at least ``c I``.  Otherwise S is positive
     definite less a rank-one term, so it is positive definite exactly when
@@ -327,28 +423,12 @@ def _partial_step(points, measure, y: Observation, w, beta: float, c: float):
     its contract for any ``beta``.
     """
     zeta = np.asarray(measure(points), dtype=float)
-    if zeta.shape[0] != points.shape[0]:
-        raise DimensionMismatch(
-            f"measurement map returned {zeta.shape[0]} rows for "
-            f"{points.shape[0]} sigma points"
-        )
     if zeta.shape[1:] != y.y_real.shape:
         raise DimensionMismatch(
             f"measurement map produced length {zeta.shape[1]}, "
             f"observation has {y.y_real.shape[0]}"
         )
-    root_w = np.sqrt(w)[:, None]
-    Z = zeta[1:] - zeta[0]
-    m = w @ Z
-    E = np.vstack([root_w * Z, np.sqrt(abs(beta)) * m])
-    V = root_w * (points[1:] - points[0])
-    G = E @ E.T
-    K = G.copy()
-    if beta < 0.0:
-        K[:, -1] = -K[:, -1]
-    K[np.diag_indices_from(K)] += c
-    if beta < 0.0 and np.linalg.slogdet(K)[0] <= 0.0:
-        raise SingularInnovation("innovation covariance is not positive definite")
-    rhs = np.column_stack([E @ (y.y_real - zeta[0] - m), G[:, :-1] @ V])
-    Y = np.linalg.solve(K, rhs)[:-1]
-    return V.T @ Y[:, 0], V.T @ Y[:, 1:]
+    h, E, T = _centre_factors(zeta, points, w, beta)
+    core = _sign_core(points.shape[0], beta)
+    Y, dR = push_through_solve(E, core, c, T, check=beta < 0.0)
+    return Y.T @ (E @ (y.y_real - h)), dR

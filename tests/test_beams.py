@@ -50,12 +50,19 @@ def unit_columns(rng, m, n):
     return B / np.linalg.norm(B, axis=0)
 
 
-def design_input(rng, n=6, m=8, n_t=2, n_r=2, Pi=None, **overrides):
-    """A pencil with a dense channel covariance Pi (zero by default)."""
+def design_input(rng, n=6, m=8, n_t=2, n_r=2, Pi=None, R_xh=None, **overrides):
+    """A pencil with a dense channel covariance Pi (zero by default).
+
+    A dense Pi is the factor pair (I, Pi), so the cross-covariance's factor
+    coordinates are T = R_xh^T.
+    """
     if Pi is None:
         Pi = np.zeros((2 * m, 2 * m))
+    drawn = rng.standard_normal((n, 2 * m))
+    if R_xh is None:
+        R_xh = drawn
     fields = dict(
-        R_xh=rng.standard_normal((n, 2 * m)),
+        T=R_xh.T,
         Pi_factors=(np.eye(2 * m), Pi),
         W=np.ones(n),
         rho=10.0,
@@ -91,7 +98,7 @@ class TestUnconstrainedOptimalDirections:
         Pi = M @ M.T / 16.0
         inp = design_input(rng, Pi=Pi)
         V, eigvals = unconstrained_optimal_directions(inp)
-        A = inp.R_xh.T @ inp.R_xh
+        A = inp.T @ inp.T.T
         B = Pi + np.eye(16) / (2.0 * inp.rho)
         resid = np.linalg.norm(A @ V - B @ V @ np.diag(eigvals))
         assert resid < 1e-8
@@ -173,7 +180,7 @@ class TestSignalSubspace:
         rng = np.random.default_rng(93)
         inp = self.rank_two_input(rng)
         V, eigvals = unconstrained_optimal_directions(inp)
-        A = inp.R_xh.T @ inp.R_xh
+        A = inp.T @ inp.T.T
         F, Pi = inp.Pi_factors
         B = F @ Pi @ F.T + np.eye(32) / (2.0 * inp.rho)
         w, U = generalized_eig_sym(A, B, 2)
@@ -356,8 +363,7 @@ class TestDesignBeams:
         dims = KroneckerFactorDims(8, 2, 8, 2)
 
         def weighted(W):
-            inp = BeamDesignInput(stats.R_xh, (stats.D.T, np.diag(stats.w_cov)), W,
-                                  10.0, 2, 2)
+            inp = BeamDesignInput(stats.T, (stats.E.T, stats.J), W, 10.0, 2, 2)
             return beams_from_directions(*unconstrained_optimal_directions(inp), dims)
 
         a = weighted(np.ones(6))

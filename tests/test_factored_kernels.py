@@ -1,10 +1,11 @@
 """Factored sigma-subspace kernels against the dense channel-space maths.
 
-Beam design solves its pencil through the factors Pi = F Omega F^T and the
-update pushes sigma points through the factored observation map.  Each test
-here writes the dense reference (a Cholesky factorization of the m x m matrix
-Pi + I/(2 rho), or G Pi G^T and an explicit inverse) and requires the
-factored kernels to agree with it.
+Beam design solves its pencil through the factors Pi = F Omega F^T and
+R_xh = T^T F^T, and the update pushes sigma points through the factored
+observation map; both solve the same (2n+1)-square push-through system.
+Each test here writes the dense reference (a Cholesky factorization of the
+m x m matrix Pi + I/(2 rho), or G Pi G^T and an explicit inverse) and
+requires the factored kernels to agree with it.
 """
 
 import numpy as np
@@ -42,7 +43,8 @@ def dense_directions(R_xh, Pi, W, rho, n_dirs):
     w, Q = np.linalg.eigh(U.T @ BiU)
     order = np.argsort(w)[::-1][:n_dirs]
     V = BiU @ Q[:, order]
-    V = V / np.linalg.norm(V, axis=0)
+    norms = np.linalg.norm(V, axis=0)  # zero for a state component the channel misses
+    V = V / np.where(norms > 0.0, norms, 1.0)
     peak = np.abs(V).argmax(axis=0)
     return V * np.where(V[peak, np.arange(V.shape[1])] < 0.0, -1.0, 1.0), w[order]
 
@@ -59,7 +61,8 @@ def reference_stats(run_index):
 
 def assert_directions_match(inp, Pi, n_dirs):
     V, eigvals = unconstrained_optimal_directions(inp)
-    V_ref, w_ref = dense_directions(inp.R_xh, Pi, inp.W, inp.rho, n_dirs)
+    R_xh = (inp.Pi_factors[0] @ inp.T).T
+    V_ref, w_ref = dense_directions(R_xh, Pi, inp.W, inp.rho, n_dirs)
     k = w_ref.size
     np.testing.assert_allclose(eigvals[:k], w_ref, rtol=0.0, atol=1e-9 * w_ref[0])
     # Only the signal directions are fixed by the model; the rest are
@@ -73,11 +76,11 @@ class TestFactoredPencil:
     @pytest.mark.parametrize("run_index", [0, 1, 2])
     def test_matches_dense_solve_on_sigma_statistics(self, run_index):
         cfg, stats = reference_stats(run_index)
-        assert stats.D.shape == (2 * 6 * cfg.L + 1, 512)
+        assert stats.E.shape == (2 * 6 * cfg.L + 1, 512)
         inp = BeamDesignInput(
-            R_xh=stats.R_xh,
-            Pi_factors=(stats.D.T, np.diag(stats.w_cov)),
-            W=np.ones(stats.R_xh.shape[0]),
+            T=stats.T,
+            Pi_factors=(stats.E.T, stats.J),
+            W=np.ones(stats.T.shape[1]),
             rho=cfg.rho,
             num_tx_beams=cfg.N_T,
             num_rx_beams=cfg.N_R,
@@ -85,28 +88,40 @@ class TestFactoredPencil:
         assert_directions_match(inp, stats.Pi, cfg.N_T * cfg.N_R)
 
     def test_matches_dense_solve_outside_the_sigma_span(self):
-        # A generic cross-covariance puts U outside range(F), so the
-        # (U - Q Q^T U) / c term carries most of B^-1 U.
+        # A generic cross-covariance lies outside the span of the sigma
+        # differences, so it needs the dense pair (I, Pi), T = R_xh^T.
         cfg, stats = reference_stats(0)
         rng = np.random.default_rng(100)
         R_xh = rng.standard_normal(stats.R_xh.shape)
-        F = stats.D.T
-        Q, _ = np.linalg.qr(F)
+        Q, _ = np.linalg.qr(stats.E.T)
         U = R_xh.T
         assert np.linalg.norm(U - Q @ (Q.T @ U)) > 0.9 * np.linalg.norm(U)
         W = rng.uniform(0.5, 2.0, R_xh.shape[0])
         inp = BeamDesignInput(
-            R_xh=R_xh, Pi_factors=(F, np.diag(stats.w_cov)), W=W, rho=cfg.rho,
+            T=R_xh.T, Pi_factors=(np.eye(512), stats.Pi), W=W, rho=cfg.rho,
+            num_tx_beams=cfg.N_T, num_rx_beams=cfg.N_R,
+        )
+        assert_directions_match(inp, stats.Pi, cfg.N_T * cfg.N_R)
+
+    def test_matches_dense_solve_on_a_generic_factor_coordinate(self):
+        # T need not be the sigma state factor: a generic T, last row
+        # included, and generic weights.
+        cfg, stats = reference_stats(0)
+        rng = np.random.default_rng(104)
+        T = rng.standard_normal(stats.T.shape)
+        W = rng.uniform(0.5, 2.0, T.shape[1])
+        inp = BeamDesignInput(
+            T=T, Pi_factors=(stats.E.T, stats.J), W=W, rho=cfg.rho,
             num_tx_beams=cfg.N_T, num_rx_beams=cfg.N_R,
         )
         assert_directions_match(inp, stats.Pi, cfg.N_T * cfg.N_R)
 
     def test_dense_input_is_the_identity_factor(self):
         cfg, stats = reference_stats(0)
-        common = dict(R_xh=stats.R_xh, W=np.ones(stats.R_xh.shape[0]), rho=cfg.rho,
+        common = dict(W=np.ones(stats.T.shape[1]), rho=cfg.rho,
                       num_tx_beams=cfg.N_T, num_rx_beams=cfg.N_R)
-        dense = BeamDesignInput(Pi_factors=(np.eye(512), stats.Pi), **common)
-        factored = BeamDesignInput(Pi_factors=(stats.D.T, np.diag(stats.w_cov)), **common)
+        dense = BeamDesignInput(T=stats.R_xh.T, Pi_factors=(np.eye(512), stats.Pi), **common)
+        factored = BeamDesignInput(T=stats.T, Pi_factors=(stats.E.T, stats.J), **common)
         np.testing.assert_array_equal(dense.Pi_factors[0], np.eye(512))
         _, w_d = unconstrained_optimal_directions(dense)
         _, w_f = unconstrained_optimal_directions(factored)
@@ -118,7 +133,7 @@ class TestFactoredPencil:
         F = rng.standard_normal((m, k))
         Omega = np.diag(np.r_[-10.0, np.ones(k - 1)])
         inp = BeamDesignInput(
-            R_xh=rng.standard_normal((6, m)), Pi_factors=(F, Omega), W=np.ones(6),
+            T=rng.standard_normal((k, 6)), Pi_factors=(F, Omega), W=np.ones(6),
             rho=10.0, num_tx_beams=2, num_rx_beams=2,
         )
         with pytest.raises(np.linalg.LinAlgError):
@@ -306,9 +321,87 @@ class TestFactoredUpdate:
         with pytest.raises(BadScaling):
             update(prior, measure, obs, params, sigma=faulted)
 
+    def test_statistics_reject_unequal_outer_weights(self):
+        # The factors take one outer weight for the mean and the covariance.
+        prior, sigma, *_ = small_problem(0)
+        fn = make_channel_fn(2, ArrayGeometry(8), ArrayGeometry(8))
+        skewed = SigmaSet(sigma.points, sigma.w_mean, sigma.w_cov * 1.001)
+        with pytest.raises(BadScaling):
+            channel_statistics(skewed, fn)
+
     @pytest.mark.parametrize("eta", [1.5, 2.0])
     def test_run_frame_completes_at_negative_beta(self, eta, monkeypatch):
         monkeypatch.setattr(simulate, "FILTER_PARAMS", UkfParams(eta=eta))
         rec = run_frame(ScenarioConfig(frame_length=5e-4), 0)
         assert not rec.diverged
         assert np.all(np.isfinite(rec.trace_wr))
+
+
+class TestSharedSubspaceSolve:
+    """Beam design and the update solve one push-through system."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pencil_eigenvalues_equal_whole_channel_update_reduction(self, seed):
+        # Sounding the whole channel (F = I, Z = I) at the design SNR, one
+        # update step removes exactly U^T B^-1 U from the covariance.
+        prior, sigma, stats, _, _, _, params, rho = small_problem(seed)
+        n, M = prior.R.shape[0], 8
+        inp = BeamDesignInput(
+            T=stats.T, Pi_factors=(stats.E.T, stats.J), W=np.ones(n), rho=rho,
+            num_tx_beams=4, num_rx_beams=4,
+        )
+        _, eigvals = unconstrained_optimal_directions(inp)
+        geom = ArrayGeometry(M)
+        measure = observation_map(build_plan(np.eye(M), np.eye(M)), 2, geom, geom)
+        obs = Observation(y_real=np.zeros(2 * M * M), snr_rho=rho)
+        post = update(prior, measure, obs, params, sigma=sigma)
+        want = np.linalg.eigvalsh(prior.R - post.R)[::-1]
+        np.testing.assert_allclose(eigvals[:n], want, rtol=0.0, atol=1e-10 * want[0])
+
+    @pytest.mark.parametrize("eta", [0.2, 1e-3])
+    def test_factors_reproduce_sigma_weighted_moments(self, eta):
+        # At eta = 1e-3 the centre weight is about -1e6, so the reference
+        # weighted moments are summed in long double.
+        prior = small_problem(0)[0]
+        geom = ArrayGeometry(8)
+        fn = make_channel_fn(2, geom, geom)
+        sigma = sigma_points(prior.x_hat.x, prior.R, UkfParams(eta=eta))
+        stats = channel_statistics(sigma, fn)
+        P = sigma.points.astype(np.longdouble)
+        zeta = fn(sigma.points).astype(np.longdouble)
+        w_mean = sigma.w_mean.astype(np.longdouble)
+        w_cov = sigma.w_cov.astype(np.longdouble)
+        h_hat = w_mean @ zeta
+        dz_w = (zeta - h_hat) * w_cov[:, None]
+        Pi = dz_w.T @ (zeta - h_hat)
+        R_hx = dz_w.T @ (P - P[0])
+        for got, want in ((stats.E.T @ stats.J @ stats.E, Pi),
+                          (stats.E.T @ stats.T, R_hx),
+                          (stats.h_hat, h_hat)):
+            want = want.astype(float)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+LINALG_KERNELS = ("qr", "cholesky", "eigh", "eigvalsh", "solve", "svd", "slogdet")
+
+
+def test_run_path_factors_nothing_of_channel_dimension(monkeypatch):
+    """No decomposition or solve on the run path acts on a channel-sized matrix.
+
+    Every ``np.linalg`` kernel call of a two-period default run is recorded;
+    each operand's matrix dimensions must stay below 2*M_R*M_T.
+    """
+    cfg = ScenarioConfig(frame_length=2 * ScenarioConfig().T_S)
+    calls = []
+    for name in LINALG_KERNELS:
+        def recorded(*args, _kernel=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, [a.shape[-2:] for a in args if isinstance(a, np.ndarray)]))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    assert not run_frame(cfg, 0).diverged
+    limit = 2 * cfg.M_R * cfg.M_T
+    too_big = [(name, shapes) for name, shapes in calls
+               if any(dim >= limit for shape in shapes for dim in shape)]
+    assert calls
+    assert not too_big, too_big[:3]

@@ -1,5 +1,7 @@
 """Tests for the unscented filter recursion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -234,28 +236,29 @@ def stepwise_update(prior, measure, obs, params, steps):
 
     Each step writes out the (2n+1)-square system that ``update`` solves:
     with ``Z`` and ``dX`` the measurement and state differences from the
-    centre point, ``E = [sqrt(w) Z; sqrt|beta| m]`` and
-    ``K = c I + E E^T diag(1, ..., sign beta)``, the increments are
-    ``v^T K^-1 E nu`` and ``v^T K^-1 E T`` with ``v = [sqrt(w) dX; 0]``.
+    centre point, ``E = [sqrt(w) Z; sqrt|beta| m]``,
+    ``T = [sqrt(w) (dX - w dX); 0]``, ``G = E E^T`` and
+    ``K = c I + diag(1, ..., sign beta) G``, the increments are
+    ``Y^T E nu`` and ``T^T G Y`` with ``Y = K^-1 T``.
     """
     x, R = prior.x_hat.x, prior.R
     for i in range(steps):
         sigma = sigma_points(x, R, params)
         w = sigma.w_cov[1:]
-        beta = np.sum(sigma.w_cov) - 2.0
+        beta = math.fsum(sigma.w_cov) - 2.0
         fraction = 2.0**i / (2.0**steps - 1.0)
         c = 1.0 / (2.0 * obs.snr_rho * fraction)
         zeta = measure(sigma.points)
         Z = zeta[1:] - zeta[0]
         m = w @ Z
         E = np.vstack([np.sqrt(w)[:, None] * Z, np.sqrt(abs(beta)) * m])
-        V = np.sqrt(w)[:, None] * (sigma.points[1:] - sigma.points[0])
+        dX = sigma.points[1:] - sigma.points[0]
+        T = np.vstack([np.sqrt(w)[:, None] * (dX - w @ dX), np.zeros(x.size)])
         G = E @ E.T
-        K = G * np.r_[np.ones(w.size), np.sign(beta)] + c * np.eye(w.size + 1)
-        rhs = np.column_stack([E @ (obs.y_real - zeta[0] - m), G[:, :-1] @ V])
-        Y = np.linalg.solve(K, rhs)[:-1]
-        x = x + V.T @ Y[:, 0]
-        R = R - V.T @ Y[:, 1:]
+        K = np.diag(np.r_[np.ones(w.size), np.sign(beta)]) @ G + c * np.eye(w.size + 1)
+        Y = np.linalg.solve(K, T)
+        x = x + Y.T @ (E @ (obs.y_real - (zeta[0] + m)))
+        R = R - (G @ T).T @ Y
         R = (R + R.T) / 2.0
         try:
             np.linalg.cholesky(R)

@@ -8,6 +8,9 @@ state.  Each position moves by dt times its velocity, and (position,
 velocity) receive process noise ``(dt / T_S) * q_upsilon``, a random-walk
 scaling that preserves the per-reference-step statistics no matter how
 finely a step is subdivided.
+
+``advance_truth_steps`` is the one true-state recurrence: ``advance_truth``
+and the simulation's fine-grid truth both run it, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -94,12 +97,26 @@ def advance_truth(
     x: ChannelState, tp: TransitionPair, rng: np.random.Generator
 ) -> ChannelState:
     """Advances a true state one step, adding process noise drawn from rng."""
-    if x.x.shape[0] != tp.A.shape[0]:
+    return ChannelState(x.L, advance_truth_steps(x.x, tp, rng, 1)[0])
+
+
+def advance_truth_steps(
+    x: np.ndarray, tp: TransitionPair, rng: np.random.Generator, steps: int
+) -> np.ndarray:
+    """The true states of ``steps`` successive steps from x, one row each.
+
+    Each row is ``tp.A`` times the one before plus noise.  The noise is drawn
+    as one (steps, n) block, in the order of ``steps`` one-step draws.
+    """
+    if x.shape[0] != tp.A.shape[0]:
         raise DimensionMismatch(
-            f"state has length {x.x.shape[0]} but transition is {tp.A.shape[0]}-dimensional"
+            f"state has length {x.shape[0]} but transition is {tp.A.shape[0]}-dimensional"
         )
-    z = rng.standard_normal(tp.Q.shape[0])
-    return ChannelState(x.L, tp.A @ x.x + np.sqrt(np.diagonal(tp.Q)) * z)
+    noise = np.sqrt(np.diagonal(tp.Q)) * rng.standard_normal((steps, x.shape[0]))
+    rows = np.empty_like(noise)
+    for j in range(steps):
+        x = rows[j] = tp.A @ x + noise[j]
+    return rows
 
 
 def predicted_mean(model: DynamicsModel, x: np.ndarray, horizon) -> np.ndarray:

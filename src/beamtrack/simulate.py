@@ -10,10 +10,10 @@ instant, and an unfiltered one-shot estimate redrawn each period with the
 same statistics as the initializer.
 
 Each coherence period is simulated as array work over its fine steps.  The
-period's process noise is drawn as one block and the true state is advanced
-step by step through the fine-step transition, so the truth is bit-identical
-to one ``advance_truth`` call per step; the period ends early at the first
-state whose norm reaches ``DIVERGENCE_NORM``.  The metrics never form a
+period's truth comes from ``dynamics.advance_truth_steps``, the recurrence
+``advance_truth`` runs, so the two agree bit for bit by construction.  The
+period ends early at the first state whose norm reaches ``DIVERGENCE_NORM``,
+the test that also stops a run whose estimate diverges.  No metric forms a
 channel matrix.  Each channel is kept in its rank-L factored form
 ``a_R diag(g) a_T^H``: spectral gains and dominant beams come from one reduced
 QR of the transmit steering factor and the eigenproblem of a Hermitian core
@@ -42,7 +42,7 @@ import numpy as np
 
 from .beams import design_beams
 from .channel import ArrayGeometry, ChannelState, StateLayout, steering_factors
-from .dynamics import DynamicsModel, build_transition, predicted_mean
+from .dynamics import DynamicsModel, advance_truth_steps, build_transition, predicted_mean
 from .errors import BadConfig, EmptyInput, ZeroChannel
 from .sounding import build_plan, noiseless_measurement, observation_map, observe
 from .tracker import (
@@ -378,37 +378,21 @@ def snr_loss_ratio(H_true: np.ndarray, H_est: np.ndarray) -> float:
     return float(_beam_gains(*true, f, z) / denom)
 
 
-def _healthy(x: np.ndarray) -> bool:
-    """Whether a state's norm is below DIVERGENCE_NORM.
-
-    A non-finite entry makes the norm NaN or inf, which compares false.  The
-    norm is np.linalg.norm's for a real vector, sqrt(x . x), without its
-    per-call overhead, which the fine-grid truth loop would pay every step.
-    """
-    return math.sqrt(x @ x) < DIVERGENCE_NORM
+def _diverged(x: np.ndarray) -> np.ndarray:
+    """Whether each state (last axis) has a norm of DIVERGENCE_NORM or more, or NaN."""
+    return ~(np.sqrt(np.einsum("...i,...i->...", x, x)) < DIVERGENCE_NORM)
 
 
 def _truth_rows(x, tp, rng, steps: int, advance_first: bool) -> np.ndarray:
-    """A period's true states on the fine grid, cut before the first unhealthy one.
+    """A period's true states on the fine grid, cut before the first diverged one.
 
     Row 0 is x, advanced one step first if ``advance_first``; each later row
-    advances the row before.  The process noise is drawn from rng as one
-    block, the same numbers in the same order as one advance_truth call per
-    step, and each step is the same product, so the rows are bit-identical
-    to advance_truth's.
+    advances the row before, through ``advance_truth_steps``.
     """
-    skipped = 0 if advance_first else 1
-    noise = np.sqrt(np.diagonal(tp.Q)) * rng.standard_normal(
-        (steps - skipped, x.shape[0])
-    )
-    rows = np.empty((steps, x.shape[0]))
-    for j in range(steps):
-        if j >= skipped:
-            x = tp.A @ x + noise[j - skipped]
-        if not _healthy(x):
-            return rows[:j]
-        rows[j] = x
-    return rows
+    rows = advance_truth_steps(x, tp, rng, steps if advance_first else steps - 1)
+    if not advance_first:
+        rows = np.concatenate([x[None], rows])
+    return rows[: np.argmax(np.append(_diverged(rows), True))]
 
 
 def _period_metrics(rec, start, X, x_held, x_oneshot, model, tx, rx) -> None:
@@ -416,35 +400,33 @@ def _period_metrics(rec, start, X, x_held, x_oneshot, model, tx, rx) -> None:
 
     X holds the true states from the sounding instant ``start`` on.  The held
     and one-shot beams are fixed for the period; the predicted beams follow
-    the held estimate's closed-form mean to each step.
+    the held estimate's closed-form mean to each later step.  At the sounding
+    instant the prediction is the held estimate itself, so its gain is 1.
     """
     L = model.L
     f, z = _dominant_beams(*steering_factors(np.stack([x_held, x_oneshot]), L, tx, rx))
-    times = rec.times[start : start + X.shape[0]]
+    rec.prediction_gain[start] = 1.0
     for b in range(0, X.shape[0], BLOCK_ROWS):
-        rows = slice(b, b + BLOCK_ROWS)
-        true = steering_factors(X[rows], L, tx, rx)
+        true = steering_factors(X[b : b + BLOCK_ROWS], L, tx, rx)
         spectral = _spectral_gains(*true)
         held = _beam_gains(*true, f[0], z[0]) / spectral
-        predicted = predicted_mean(model, x_held, times[rows] - times[0])
-        f_pred, z_pred = _dominant_beams(*steering_factors(predicted, L, tx, rx))
         out = slice(start + b, start + b + held.shape[0])
         rec.tracked_loss[out] = held
         rec.oneshot_loss[out] = _beam_gains(*true, f[1], z[1]) / spectral
-        rec.prediction_gain[out] = (
-            _beam_gains(*true, f_pred, z_pred) / spectral / np.maximum(held, 1e-300)
-        )
-    rec.prediction_gain[start] = 1.0
+        p = int(b == 0)  # first row after the sounding instant
+        if p < held.shape[0]:
+            predicted = predicted_mean(model, x_held, rec.times[out][p:] - rec.times[start])
+            f_pred, z_pred = _dominant_beams(*steering_factors(predicted, L, tx, rx))
+            gain = _beam_gains(*(t[p:] for t in true), f_pred, z_pred) / spectral[p:]
+            rec.prediction_gain[out][p:] = gain / np.maximum(held[p:], 1e-300)
 
 
 def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
     """Simulates one frame: truth evolution, periodic sounding, tracking, metrics."""
-    rho = cfg.rho
     tx, rx = cfg.arrays()
     model = cfg.dynamics()
     tp_fine = build_transition(model, cfg.fine_step)
     tp_obs = build_transition(model, cfg.T_S)
-    params = FILTER_PARAMS
     channel_fn = make_channel_fn(cfg.L, tx, rx)
 
     seq = np.random.SeedSequence([cfg.seed, run_index])
@@ -482,20 +464,20 @@ def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
 
         if k > 0:
             ts = predict(ts, tp_obs)
-        sigma = sigma_points(ts.x_hat.x, ts.R, params)
+        sigma = sigma_points(ts.x_hat.x, ts.R, FILTER_PARAMS)
         stats = channel_statistics(sigma, channel_fn)
         n_t = cfg.first_N_T if k == 0 and cfg.first_N_T else cfg.N_T
         n_r = cfg.first_N_R if k == 0 and cfg.first_N_R else cfg.N_R
-        design = design_beams(stats, tx, rx, rho, n_t, n_r)
+        design = design_beams(stats, tx, rx, cfg.rho, n_t, n_r)
         plan = build_plan(design.F, design.Z)
 
-        obs = observe(plan, channel_fn(X[:1])[0], rho, rng_obs)
+        obs = observe(plan, channel_fn(X[:1])[0], cfg.rho, rng_obs)
         rec.innovation_norms[k] = np.linalg.norm(
             obs.y_real - noiseless_measurement(plan, stats.h_hat)
         )
         measure = observation_map(plan, cfg.L, tx, rx)
-        ts = update(ts, measure, obs, params, sigma, steps=UPDATE_STEPS)
-        if not _healthy(ts.x_hat.x):
+        ts = update(ts, measure, obs, FILTER_PARAMS, sigma, steps=UPDATE_STEPS)
+        if _diverged(ts.x_hat.x):
             rec.diverged = True
             break
         rec.trace_wr[k] = np.trace(ts.R)

@@ -169,6 +169,26 @@ class TestRealChannelVector:
             row = real_channel_vector(ChannelState(L, X[i]), tx, rx)
             np.testing.assert_allclose(batch[i], row, atol=1e-13)
 
+    @pytest.mark.parametrize(
+        "L, M, P",
+        [(2, 8, 25), (4, 16, 49), (1, 16, 13), (3, 7, 37)],
+        ids=["small-problem", "default", "one-path", "odd"],
+    )
+    def test_rows_do_not_depend_on_batch_position(self, L, M, P):
+        # A state's row is the same bit for bit wherever it sits in the
+        # batch and when it is evaluated alone.
+        rng = np.random.default_rng(70 + L)
+        tx, rx = ArrayGeometry(M), ArrayGeometry(M + 1)
+        for _ in range(4):
+            X = rng.standard_normal((P, 6 * L))
+            full = real_channel_vectors(X, L, tx, rx)
+            perm = rng.permutation(P)
+            shuffled = real_channel_vectors(X[perm], L, tx, rx)
+            np.testing.assert_array_equal(shuffled, full[perm])
+            for p in range(P):
+                alone = real_channel_vectors(X[p : p + 1], L, tx, rx)
+                np.testing.assert_array_equal(alone[0], full[p])
+
     def test_batch_rejects_bad_width(self):
         with pytest.raises(DimensionMismatch):
             real_channel_vectors(np.zeros((2, 10)), 2, GEOM2, GEOM2)

@@ -9,6 +9,7 @@ from beamtrack.dynamics import (
     TransitionPair,
     advance_covariance,
     advance_truth,
+    advance_truth_steps,
     build_transition,
     predicted_mean,
 )
@@ -150,6 +151,32 @@ class TestAdvanceTruth:
         st = ChannelState.from_parts([1.0 - 0.5j], [0.2], [3.0], [-0.1], [-4.0])
         truth = advance_truth(st, tp, np.random.default_rng(3))
         np.testing.assert_allclose(truth.x, tp.A @ st.x, atol=1e-15)
+
+
+class TestAdvanceTruthSteps:
+    @pytest.mark.parametrize("L", [1, 4])
+    @pytest.mark.parametrize("steps", [1, 2, 100])
+    def test_rows_equal_successive_one_step_calls(self, L, steps):
+        tp = build_transition(reference_model(L=L), 1e-6)
+        x0 = np.random.default_rng(20 + L).standard_normal(6 * L) * 100.0
+        rng_block, rng_calls, rng_draws = (np.random.default_rng(9) for _ in range(3))
+        rows = advance_truth_steps(x0, tp, rng_block, steps)
+        assert rows.shape == (steps, 6 * L)
+        state, x = ChannelState(L, x0), x0
+        for row in rows:
+            state = advance_truth(state, tp, rng_calls)
+            # the recurrence spelled out with one noise draw per step
+            x = tp.A @ x + np.sqrt(np.diagonal(tp.Q)) * rng_draws.standard_normal(6 * L)
+            np.testing.assert_array_equal(row, state.x)
+            np.testing.assert_array_equal(row, x)
+        # the generator is left where the one-step calls leave it
+        after = [rng.standard_normal() for rng in (rng_block, rng_calls, rng_draws)]
+        assert after[0] == after[1] == after[2]
+
+    def test_dimension_check(self):
+        tp = build_transition(reference_model(L=2), TS)
+        with pytest.raises(DimensionMismatch):
+            advance_truth_steps(np.zeros(6), tp, np.random.default_rng(0), 3)
 
 
 class TestPredictedMean:

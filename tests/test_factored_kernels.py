@@ -18,7 +18,7 @@ from beamtrack.beams import (
     signal_rank,
     unconstrained_optimal_directions,
 )
-from beamtrack.channel import ArrayGeometry, ChannelState
+from beamtrack.channel import ArrayGeometry, ChannelState, StateLayout
 from beamtrack.errors import BadScaling, SingularB, SingularInnovation
 from beamtrack.simulate import FILTER_PARAMS, ScenarioConfig, generate_scenario, run_frame
 from beamtrack.sounding import Observation, build_plan, observation_map, observe
@@ -161,6 +161,24 @@ def small_problem(seed):
     return prior, sigma, stats, measure, plan, obs, params, cfg.rho
 
 
+def reference_first_sounding(run_index):
+    """The reference scenario's first sounding, as run_frame takes it."""
+    cfg = ScenarioConfig()
+    tx, rx = ArrayGeometry(cfg.M_T), ArrayGeometry(cfg.M_R)
+    rng_scenario, _, rng_obs, _ = (
+        np.random.default_rng(s)
+        for s in np.random.SeedSequence([cfg.seed, run_index]).spawn(4)
+    )
+    truth, estimate, R0 = generate_scenario(cfg, rng_scenario)
+    fn = make_channel_fn(cfg.L, tx, rx)
+    sigma = sigma_points(estimate.x, R0, FILTER_PARAMS)
+    design = design_beams(channel_statistics(sigma, fn), tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
+    plan = build_plan(design.F, design.Z)
+    obs = observe(plan, fn(truth.x[None, :])[0], cfg.rho, rng_obs)
+    measure = observation_map(plan, cfg.L, tx, rx)
+    return TrackerState(estimate, R0), sigma, measure, obs
+
+
 def solve_longdouble(A, B):
     """Gaussian elimination with partial pivoting, in the dtype of A and B."""
     A, B = A.copy(), B.copy()
@@ -206,6 +224,19 @@ def increment_errors(prior, post, dx, dR):
     return float(err_x), float(err_R)
 
 
+def assert_velocities_unmoved(prior, post):
+    """The update moved the mean, but no velocity component of it.
+
+    A diagonal prior's velocity sigma points have the centre's channel.  The
+    observation map gives a state the same row wherever it sits in the
+    batch, so their measurements equal the centre's bit for bit and they add
+    nothing to the gain.
+    """
+    dx = post.x_hat.x - prior.x_hat.x
+    assert np.any(dx != 0.0)
+    assert np.all(dx[StateLayout.of(prior.x_hat.L).velocities] == 0.0)
+
+
 def quadratic_map(rng, n, p):
     """A batched map X -> (x^T Q_k x)_k with p random PSD matrices Q_k."""
     A = rng.standard_normal((p, n, n))
@@ -240,6 +271,16 @@ class TestFactoredUpdate:
         got_dR = prior.R - post.R
         assert np.linalg.norm(got_dx - dx) <= 1e-12 * np.linalg.norm(dx)
         assert np.linalg.norm(got_dR - (dR + dR.T) / 2.0) <= 1e-12 * np.linalg.norm(dR)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_update_leaves_velocities_of_a_diagonal_prior(self, seed):
+        prior, sigma, _, measure, _, obs, params, _ = small_problem(seed)
+        assert_velocities_unmoved(prior, update(prior, measure, obs, params, sigma=sigma))
+
+    @pytest.mark.parametrize("run_index", range(3))
+    def test_first_reference_update_leaves_velocities(self, run_index):
+        prior, sigma, measure, obs = reference_first_sounding(run_index)
+        assert_velocities_unmoved(prior, update(prior, measure, obs, FILTER_PARAMS, sigma=sigma))
 
     def test_indefinite_innovation_raises(self):
         # Negative weights make G Pi G^T strongly indefinite, and the noise

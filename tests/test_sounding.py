@@ -176,6 +176,28 @@ class TestObservationMap:
         assert got.shape == (9, 2 * plan.num_soundings)
         assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
 
+    @pytest.mark.parametrize(
+        "L, M, N, P",
+        [(2, 8, 3, 25), (4, 16, 6, 49), (1, 16, 6, 13), (3, 7, 2, 37)],
+        ids=["small-problem", "default", "one-path", "odd"],
+    )
+    def test_rows_do_not_depend_on_batch_position(self, L, M, N, P):
+        # A state's measurement is the same bit for bit wherever it sits in
+        # the batch and when it is measured alone.  Sigma points that share
+        # the centre's channel then measure exactly the centre's value, and
+        # add nothing to the update (test_factored_kernels pins that).
+        rng = np.random.default_rng(60 + L)
+        for _ in range(4):
+            F, _ = np.linalg.qr(random_channel(rng, M, N))
+            Z, _ = np.linalg.qr(random_channel(rng, M, N))
+            measure = observation_map(build_plan(F, Z), L, ArrayGeometry(M), ArrayGeometry(M))
+            X = rng.standard_normal((P, 6 * L))
+            full = measure(X)
+            perm = rng.permutation(P)
+            np.testing.assert_array_equal(measure(X[perm]), full[perm])
+            for p in range(P):
+                np.testing.assert_array_equal(measure(X[p : p + 1])[0], full[p])
+
     def test_rejects_arrays_that_do_not_fit_the_beams(self):
         plan = build_plan(np.eye(3)[:, :2], np.eye(2))
         with pytest.raises(DimensionMismatch):

@@ -535,12 +535,14 @@ def run_many(cfg: ScenarioConfig, max_workers: int | None = None) -> list[RunRec
     depends only on (cfg.seed, run_index).
 
     Workers are fresh interpreters whose BLAS runs on one thread.  One worker
-    per CPU already fills the machine; a BLAS thread pool per worker on top
-    of that oversubscribes it, and the tracker's many small matrix products
-    then spend most of their time handing work between threads.  Four
-    default runs on two workers (2 CPUs, OpenBLAS 0.3.31) took 4.6-5.7 s
-    wall and 9-11 s CPU pinned, against 24-44 s wall and 47-86 s CPU with
-    the default two BLAS threads per worker.  BLAS reads its thread count
+    per CPU already fills the machine, and a BLAS thread pool per worker on
+    top of that would oversubscribe it whenever a call is large enough to
+    be split.  No run-path call is, since the Kronecker fit's products went
+    BLAS-free: four default runs on two workers (2 CPUs, OpenBLAS 0.3.31)
+    took 2.4-2.7 s wall pinned and 1.9-2.7 s with the default two BLAS
+    threads per worker.  While the fit still woke a second thread they took
+    2.0-2.6 s pinned against 5.4-5.9 s unpinned, so the pinning stays for
+    BLAS builds that split smaller calls.  BLAS reads its thread count
     when numpy loads, hence spawned rather than forked workers.  Scripts
     that call this with more than one worker therefore need the usual
     ``if __name__ == "__main__":`` guard.

@@ -1,9 +1,12 @@
 """Tests for the dense linear-algebra kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from beamtrack import numerics
+from beamtrack import beams, numerics
+from beamtrack.channel import ArrayGeometry
 from beamtrack.errors import (
     DimensionMismatch,
     IndefiniteMatrix,
@@ -20,6 +23,8 @@ from beamtrack.numerics import (
     rank_one_factor,
     vec,
 )
+from beamtrack.simulate import FILTER_PARAMS, ScenarioConfig, generate_scenario
+from beamtrack.tracker import channel_statistics, make_channel_fn, sigma_points
 
 
 def random_complex(rng, shape):
@@ -257,6 +262,136 @@ class TestRankOneFactor:
     def test_rejects_zero(self):
         with pytest.raises(ZeroMatrix):
             rank_one_factor(np.zeros((3, 3)))
+
+
+@pytest.fixture(scope="module")
+def beam_design_inputs():
+    """Kronecker-fit inputs of the first beam design of runs 0-3, default scenario."""
+    cfg = ScenarioConfig()
+    tx, rx = ArrayGeometry(cfg.M_T), ArrayGeometry(cfg.M_R)
+    fn = make_channel_fn(cfg.L, tx, rx)
+    inputs = []
+
+    def recorded(R):
+        inputs.append(np.array(R))
+        return rank_one_factor(R)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beams, "rank_one_factor", recorded)
+        for i in range(4):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]).spawn(4)[0])
+            _, estimate, R0 = generate_scenario(cfg, rng)
+            stats = channel_statistics(sigma_points(estimate.x, R0, FILTER_PARAMS), fn)
+            beams.design_beams(stats, tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
+    return inputs
+
+
+def _eigh_triplet(R):
+    """Top singular triplet from a dense ``eigh`` of the smaller Gram matrix."""
+    if R.shape[0] <= R.shape[1]:
+        u = np.linalg.eigh(R @ R.conj().T)[1][:, -1]
+        v = R.conj().T @ u
+        s = np.linalg.norm(v)
+        return u, s, v / s
+    v = np.linalg.eigh(R.conj().T @ R)[1][:, -1]
+    u = R @ v
+    s = np.linalg.norm(u)
+    return u / s, s, v
+
+
+def _breakdown_factor(R):
+    """``rank_one_factor`` with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return rank_one_factor(R)
+
+
+class TestLanczosFit:
+    def test_beam_design_inputs_match_dense_eigh(self, beam_design_inputs):
+        assert len(beam_design_inputs) == 4
+        for R in beam_design_inputs:
+            sigmas = np.linalg.svd(R, compute_uv=False)
+            # the top pair is well separated but not by much
+            assert 0.8 < sigmas[1] / sigmas[0] < 0.99
+            u, s, v = rank_one_factor(R)
+            u_ref, s_ref, v_ref = _eigh_triplet(R)
+            assert abs(s - s_ref) <= 1e-12 * s_ref
+            phase = np.vdot(u_ref, u) / abs(np.vdot(u_ref, u))
+            np.testing.assert_allclose(u, phase * u_ref, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(v, phase * v_ref, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("hard", [False, True])
+    def test_no_linalg_call_on_a_gram_sized_matrix(self, beam_design_inputs, hard,
+                                                   monkeypatch):
+        # Only the k x k Lanczos tridiagonal is decomposed, never the Gram,
+        # and k stays below 26, from which eigh wakes a second OpenBLAS
+        # thread.  Random 96-square inputs need restarts.
+        shapes = []
+        for name in ("eigh", "eigvalsh", "eig", "svd", "solve", "cholesky", "qr", "inv"):
+            def recorded(*args, _kernel=getattr(np.linalg, name), **kwargs):
+                shapes.extend(a.shape for a in args if isinstance(a, np.ndarray))
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        inputs = beam_design_inputs
+        if hard:
+            rng = np.random.default_rng(39)
+            inputs = [random_complex(rng, (96, 96)) for _ in range(2)]
+        for R in inputs:
+            rank_one_factor(R)
+        assert shapes
+        assert max(max(shape) for shape in shapes) <= 25
+
+    @pytest.mark.parametrize("shape", [(96, 96), (40, 96), (96, 40)])
+    def test_exact_rank_one_triplet(self, shape):
+        rng = np.random.default_rng(37)
+        x, y = random_complex(rng, shape[0]), random_complex(rng, shape[1])
+        x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        u, s, v = _breakdown_factor(3.0 * np.outer(x, y.conj()))
+        assert abs(s - 3.0) <= 1e-12 * 3.0
+        phase = np.vdot(x, u)
+        assert abs(abs(phase) - 1.0) <= 1e-12
+        np.testing.assert_allclose(u, phase * x, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(v, phase * y, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(96, 96), (40, 96), (96, 40)])
+    def test_repeated_top_singular_value(self, shape):
+        # Any unit vector of the top two-dimensional singular subspace is a
+        # dominant pair; the fit must lie in it and carry sigma_1 exactly.
+        rng = np.random.default_rng(38)
+        k = min(shape)
+        U, _ = np.linalg.qr(random_complex(rng, (shape[0], k)))
+        V, _ = np.linalg.qr(random_complex(rng, (shape[1], k)))
+        sigmas = np.r_[2.0, 2.0, np.linspace(1.0, 0.01, k - 2)]
+        R = (U * sigmas) @ V.conj().T
+        u, s, v = _breakdown_factor(R)
+        assert abs(s - 2.0) <= 1e-12 * 2.0
+        assert abs(np.linalg.norm(U[:, :2].conj().T @ u) - 1.0) <= 1e-12
+        np.testing.assert_allclose(R.conj().T @ u, s * v, rtol=0.0, atol=1e-12)
+        resid = np.linalg.norm(R - s * np.outer(u, v.conj()))
+        assert abs(resid - np.sqrt(np.sum(sigmas[1:] ** 2))) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(96, 96), (40, 96), (96, 40)])
+    def test_single_nonzero_entry(self, shape):
+        R = np.zeros(shape, dtype=complex)
+        R[7, 29] = 2.0 - 1.5j
+        u, s, v = _breakdown_factor(R)
+        assert s == pytest.approx(2.5, rel=1e-15)
+        np.testing.assert_allclose(s * np.outer(u, v.conj()), R, rtol=0.0, atol=1e-15)
+        assert abs(u[7]) == pytest.approx(1.0, rel=1e-15)
+        assert abs(v[29]) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(96, 96), (40, 96), (96, 40)])
+    def test_top_pair_outside_the_start(self, shape):
+        # The longest row (norm^2 2.25) starts the iteration in an invariant
+        # block whose sigma is 1.5; the top pair (sigma 2) lies outside it.
+        R = np.zeros(shape)
+        R[:2, :2] = 1.0
+        R[2, 2] = 1.5
+        u, s, v = _breakdown_factor(R)
+        assert abs(s - 2.0) <= 1e-14
+        np.testing.assert_allclose(np.abs(u[:3]), [0.5**0.5, 0.5**0.5, 0.0], atol=1e-14)
+        np.testing.assert_allclose(np.abs(v[:3]), [0.5**0.5, 0.5**0.5, 0.0], atol=1e-14)
 
 
 class TestComplexToRealStacked:

@@ -1,6 +1,7 @@
 """Tests for scenario generation, the frame loop, and metric aggregation."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -536,6 +537,82 @@ def test_run_is_bit_identical_at_one_and_two_blas_threads():
     for name in one:
         np.testing.assert_array_equal(one[name], two[name], err_msg=name)
         assert one[name].tobytes() == two[name].tobytes(), name
+
+
+
+# Runs a five-period default frame, then Kronecker fits of random 96-square
+# matrices, which take restarts, and reports each thread's CPU time in ns,
+# read from schedstat, first for the main thread.  Before reading, it waits
+# until the BLAS threads, which spin for a while after they start, are idle.
+_THREAD_CPU_SCRIPT = """
+import json, os, threading, time
+import numpy as np
+from beamtrack.numerics import rank_one_factor
+from beamtrack.simulate import ScenarioConfig, run_frame
+
+def cpu_ns():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/schedstat") as f:
+            out[int(tid)] = int(f.read().split()[0])
+    return out
+
+main = threading.get_native_id()
+before = cpu_ns()
+for _ in range(40):
+    time.sleep(0.05)
+    now = cpu_ns()
+    settled = all(now[t] == before.get(t) for t in now if t != main)
+    before = now
+    if settled:
+        break
+run_frame(ScenarioConfig(frame_length=5e-4), 0)
+rng = np.random.default_rng(40)
+for _ in range(3):
+    rank_one_factor(rng.standard_normal((96, 96)) + 1j * rng.standard_normal((96, 96)))
+after = cpu_ns()
+print(json.dumps([after[main] - before[main]]
+                 + [after[t] - before.get(t, 0) for t in after if t != main]))
+"""
+
+
+def _numpy_uses_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no per-thread schedstat")
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
+    else (os.cpu_count() or 1) < 2,
+    reason="fewer than 2 CPUs",
+)
+def test_default_run_wakes_no_second_blas_thread():
+    """At two OpenBLAS threads, a default run and Kronecker fits leave other threads idle.
+
+    The other threads must use under 5 % of the main thread's CPU.
+
+    A BLAS call above OpenBLAS's threading threshold wakes a worker, which
+    then spins until its next job or a timeout, so even rare calls show.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    src = str(Path(beamtrack.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_CPU_SCRIPT], env=env, capture_output=True,
+        check=True, text=True,
+    )
+    main, *others = json.loads(proc.stdout)
+    if not others:
+        pytest.skip("OpenBLAS started no worker thread")
+    assert main > 0
+    assert sum(others) < 0.05 * main, (main, others)
 
 
 class TestRunMany:

@@ -16,8 +16,6 @@ need (and little information) to pin the coordinate more precisely.
 import numpy as np
 
 from beamtrack import (
-    ArrayGeometry,
-    DynamicsModel,
     ScenarioConfig,
     TrackerState,
     UkfParams,
@@ -51,12 +49,9 @@ rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
 truth, estimate, R0 = generate_scenario(cfg, rng)
 ts = TrackerState(x_hat=estimate, R=R0)
 
-tx = ArrayGeometry(cfg.M_T, cfg.d_over_lambda)
-rx = ArrayGeometry(cfg.M_R, cfg.d_over_lambda)
+tx, rx = cfg.arrays()
 channel_fn = make_channel_fn(cfg.L, tx, rx)
-model = DynamicsModel(L=cfg.L, beta=cfg.beta, T_S=cfg.T_S,
-                      q_upsilon=np.array(cfg.q_upsilon))
-tp = build_transition(model, cfg.T_S)
+tp = build_transition(cfg.dynamics(), cfg.T_S)
 params = UkfParams()
 
 print("period | loss vs perfect CSI | max position error | trace(R)  | innovation")

@@ -12,7 +12,6 @@ prior), the comparison below is deterministic given the prior.
 import numpy as np
 
 from beamtrack import (
-    ArrayGeometry,
     Observation,
     ScenarioConfig,
     TrackerState,
@@ -30,8 +29,7 @@ from beamtrack import (
 )
 
 cfg = ScenarioConfig()  # the full-size reference setup: L=4, M=16, N=6
-tx = ArrayGeometry(cfg.M_T, cfg.d_over_lambda)
-rx = ArrayGeometry(cfg.M_R, cfg.d_over_lambda)
+tx, rx = cfg.arrays()
 channel_fn = make_channel_fn(cfg.L, tx, rx)
 params = UkfParams()
 

@@ -27,7 +27,6 @@ Layers, bottom up:
 """
 
 from .beams import (
-    BeamDesignInput,
     BeamDesignOutput,
     baseline_beams,
     design_beams,
@@ -91,7 +90,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrayGeometry",
     "BadConfig",
-    "BeamDesignInput",
     "BeamDesignOutput",
     "BeamtrackError",
     "ChannelState",

@@ -12,18 +12,19 @@ deterministic DFT grid fills beam slots that no signal direction reaches,
 acts as the fallback whenever the statistics carry no usable information,
 and serves as the non-adaptive control arm.
 
-``design_beams`` takes the prior's sigma statistics as the tracker computed
-them, so this module draws no sigma points of its own, and weights every
-state component equally.  Other weights and dense covariances go through
-``BeamDesignInput`` and ``unconstrained_optimal_directions`` directly.
+``design_beams`` takes the prior's sigma moments as the tracker computed
+them (``tracker.ChannelStats``), so this module draws no sigma points of its
+own, and weights every state component equally.  A state weighting W is a
+column scaling of the moments' state factor, ``T / sqrt(W)``, and dense
+moments are the factors (I, Pi, R_xh^T); ``unconstrained_optimal_directions``
+solves the pencil on either.
 
 The pencil is solved in the sigma-point subspace, with the update's own
-push-through system (``tracker.push_through_solve``).  The channel
-covariance comes factored as Pi = F Omega F^T and the cross-covariance in
-the factor's coordinates as R_xh = T^T F^T; from sigma statistics F = E^T
-holds the 2n+1 weighted differences from the centre point and Omega is the
-sign core J.  With K = c I + Omega F^T F and c = 1/(2 rho), B^-1 U = F K^-1 T
-and U^T B^-1 U = T^T F^T F K^-1 T: one (2n+1)-square solve, and nothing in
+push-through system (``tracker.push_through_solve``).  The moments come
+factored as Pi = E^T J E and R_xh = T^T E; from sigma statistics E holds the
+2n+1 weighted differences from the centre image and J is their sign core.
+With K = c I + J E E^T and c = 1/(2 rho), B^-1 U = E^T K^-1 T and
+U^T B^-1 U = T^T E E^T K^-1 T: one (2n+1)-square solve, and nothing in
 channel space is factored.  U^T B^-1 U is the covariance reduction the
 update would make if it measured the whole channel at the sounding's SNR.
 """
@@ -50,58 +51,6 @@ SIGNAL_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class BeamDesignInput:
-    """Prior channel statistics and sizing for one beam-design problem.
-
-    Attributes:
-        T: Cross-covariance in the factor's coordinates, k x 6L: the
-            state-to-channel cross-covariance is R_xh = T^T F^T.
-        Pi_factors: The channel covariance as a pair (F, Omega) with
-            Pi_hat = F Omega F^T, F of shape m x k and Omega k x k symmetric
-            with at most one negative eigenvalue.  A dense Pi_hat is the
-            pair (I, Pi_hat) with T = R_xh^T; sigma statistics give
-            (E^T, J) with T their state factor.
-        W: Per-state-component weights, a vector of strictly positive entries.
-        rho: Linear SNR of the upcoming sounding.
-        num_tx_beams: Transmit beam count N_T.
-        num_rx_beams: Receive beam count N_R.
-    """
-
-    T: np.ndarray
-    Pi_factors: tuple[np.ndarray, np.ndarray]
-    W: np.ndarray
-    rho: float
-    num_tx_beams: int
-    num_rx_beams: int
-
-    def __post_init__(self):
-        T = np.asarray(self.T, dtype=float)
-        F, Omega = (np.asarray(a, dtype=float) for a in self.Pi_factors)
-        W = np.asarray(self.W, dtype=float)
-        if T.ndim != 2 or W.shape != (T.shape[1],):
-            raise DimensionMismatch(
-                f"weights have shape {W.shape}, cross-covariance factor {T.shape}"
-            )
-        if np.any(W <= 0.0):
-            raise BadConfig("weights must be strictly positive")
-        if F.ndim != 2 or F.shape[1] != T.shape[0]:
-            raise DimensionMismatch(
-                f"Pi_hat factor shape {F.shape} does not match T of shape {T.shape}"
-            )
-        if Omega.shape != (F.shape[1], F.shape[1]):
-            raise DimensionMismatch(
-                f"Pi_hat core shape {Omega.shape} does not match factor shape {F.shape}"
-            )
-        if self.rho <= 0.0:
-            raise NonpositiveSnr(f"snr must be positive, got {self.rho}")
-        if self.num_tx_beams < 1 or self.num_rx_beams < 1:
-            raise BadBeamCount("need at least one beam per side")
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "Pi_factors", (F, Omega))
-        object.__setattr__(self, "W", W)
-
-
-@dataclass(frozen=True)
 class BeamDesignOutput:
     """Designed beams plus solver diagnostics."""
 
@@ -113,42 +62,55 @@ class BeamDesignOutput:
 
 
 def unconstrained_optimal_directions(
-    inp: BeamDesignInput,
+    stats: ChannelStats, rho: float, num_dirs: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top observation directions ignoring the Kronecker/unit-norm structure.
 
-    Returns the leading N_T*N_R generalized eigenvectors of the pencil (A, B),
-    with A = R_xh^T W^-1 R_xh and B = Pi_hat + (1/(2 rho)) I, as unit-norm
-    columns together with their eigenvalues in descending order.
+    Returns the leading ``num_dirs`` generalized eigenvectors of the pencil
+    (A, B), with A = R_xh^T R_xh and B = Pi + (1/(2 rho)) I for the moments
+    Pi = E^T J E and R_xh = T^T E of ``stats``, as unit-norm columns together
+    with their eigenvalues in descending order.  ``h_hat`` does not enter.
 
-    A = U U^T with U = R_xh^T W^-1/2 = F T W^-1/2 has rank at most the state
-    dimension n, so every nonzero eigenpair comes from the n x n matrix
+    A = U U^T with U = E^T T has rank at most the state dimension n, so
+    every nonzero eigenpair comes from the n x n matrix
     U^T B^-1 U = Q diag(lam) Q^T as v = B^-1 U q.  Requested slots beyond n
     are zero columns with eigenvalue zero.  Each column's sign is fixed so
     that its largest-magnitude entry is positive.
 
     Both come from ``push_through_solve`` on the factors: with
-    Y = K^-1 T W^-1/2, B^-1 U = F Y and U^T B^-1 U = W^-1/2 T^T F^T F Y.
-    B is positive definite exactly when det K > 0, for a core with at most
-    one negative eigenvalue; otherwise SingularB is raised.
+    Y = K^-1 T, B^-1 U = E^T Y and U^T B^-1 U = T^T E E^T Y.  B is positive
+    definite exactly when det K > 0, for a core with at most one negative
+    eigenvalue; otherwise SingularB is raised.
+
+    Raises:
+        DimensionMismatch: E, J and T disagree in their leading dimension k.
+        NonpositiveSnr: ``rho <= 0``.
+        BadBeamCount: ``num_dirs < 1``.
+        SingularB: B is not positive definite.
     """
-    n_dirs = inp.num_tx_beams * inp.num_rx_beams
-    F, Omega = inp.Pi_factors
-    c = 1.0 / (2.0 * inp.rho)
-    Y, C = push_through_solve(
-        F.T, Omega, c, inp.T / np.sqrt(inp.W), check=True, error=SingularB
-    )
+    E, J, T = stats.E, stats.J, stats.T
+    k = E.shape[0]
+    if E.ndim != 2 or J.shape != (k, k) or T.ndim != 2 or T.shape[0] != k:
+        raise DimensionMismatch(
+            f"factor shapes E {E.shape}, J {J.shape}, T {T.shape} do not agree"
+        )
+    if rho <= 0.0:
+        raise NonpositiveSnr(f"snr must be positive, got {rho}")
+    if num_dirs < 1:
+        raise BadBeamCount(f"need at least one direction, got {num_dirs}")
+    c = 1.0 / (2.0 * rho)
+    Y, C = push_through_solve(stats, c, check=True, error=SingularB)
     w, Q = np.linalg.eigh((C + C.T) / 2.0)
-    keep = min(n_dirs, w.shape[0])
+    keep = min(num_dirs, w.shape[0])
     order = np.argsort(w)[::-1][:keep]
-    V = F @ (Y @ Q[:, order])
+    V = E.T @ (Y @ Q[:, order])
     norms = np.linalg.norm(V, axis=0)
     V = V / np.where(norms > 0.0, norms, 1.0)
     peak = np.abs(V).argmax(axis=0)
     V = V * np.where(V[peak, np.arange(keep)] < 0.0, -1.0, 1.0)
 
-    eigvecs = np.zeros((F.shape[0], n_dirs))
-    eigvals = np.zeros(n_dirs)
+    eigvecs = np.zeros((E.shape[1], num_dirs))
+    eigvals = np.zeros(num_dirs)
     eigvecs[:, :keep] = V
     eigvals[:keep] = w[order]
     return eigvecs, eigvals
@@ -350,18 +312,14 @@ def design_beams(
         back to the DFT grid when the statistics are degenerate (nothing to
         aim at), with used_fallback set.
     """
+    if num_tx_beams < 1 or num_rx_beams < 1:
+        raise BadBeamCount("need at least one beam per side")
     dims = KroneckerFactorDims(
         tx.num_antennas, num_tx_beams, rx.num_antennas, num_rx_beams
     )
-    inp = BeamDesignInput(
-        T=stats.T,
-        Pi_factors=(stats.E.T, stats.J),
-        W=np.ones(stats.T.shape[1]),
-        rho=rho,
-        num_tx_beams=num_tx_beams,
-        num_rx_beams=num_rx_beams,
+    V_real, eigvals = unconstrained_optimal_directions(
+        stats, rho, num_tx_beams * num_rx_beams
     )
-    V_real, eigvals = unconstrained_optimal_directions(inp)
     if eigvals[0] < 1e-12:
         return _fallback(dims)
     return beams_from_directions(V_real, eigvals, dims)

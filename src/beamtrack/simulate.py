@@ -108,7 +108,8 @@ class ScenarioConfig:
         init_gain_var: Variance of the complex initial gain estimate error.
         q_upsilon: Per-pair (position, velocity) process noise per T_S.
         d_over_lambda: Antenna spacing in wavelengths.
-        seed: Master seed; run i derives from SeedSequence([seed, i]).
+        seed: Nonnegative master seed; run i derives from
+            SeedSequence([seed, i]).
         num_runs: Monte Carlo run count.
     """
 
@@ -156,6 +157,8 @@ class ScenarioConfig:
         for name in ("L", "M_T", "M_R", "N_T", "N_R", "num_runs"):
             if getattr(self, name) < 1:
                 raise BadConfig(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise BadConfig(f"seed must be nonnegative, got {self.seed}")
         if self.N_T > self.M_T or self.N_R > self.M_R:
             raise BadConfig("beam counts cannot exceed antenna counts")
         for name, cap in (("first_N_T", self.M_T), ("first_N_R", self.M_R)):

@@ -14,23 +14,23 @@ moments before the beams, and so the measurement map, exist), and finally
 computed once per period.  The measurement noise comes from the observation's
 own SNR.
 
-The sigma moments are kept factored.  With 2n+1 sigma points, their images
-``zeta`` and their differences from the centre point, the covariance of the
-images is ``E^T J E`` and the state cross-covariance ``T^T E`` (see
-``ChannelStats``): rank at most 2n+1 in a channel space of 2*M_R*M_T real
-dimensions, and no negative weight multiplies a deviation.  Adding noise
-``c I`` to such a covariance and solving against it takes one
+The sigma moments are kept factored, in one type, ``ChannelStats``.  With
+2n+1 sigma points, their images ``zeta`` and their differences from the
+centre point, the covariance of the images is ``E^T J E`` and the state
+cross-covariance ``T^T E``: rank at most 2n+1 in a channel space of
+2*M_R*M_T real dimensions, and no negative weight multiplies a deviation.
+Adding noise ``c I`` to such a covariance and solving against it takes one
 (2n+1)-square system, ``push_through_solve``.  That one kernel serves both
 consumers of the prior's sigma points:
 
-* beam design (``beams``) solves its pencil through it, from the channel
-  factors of ``channel_statistics``, so nothing in channel space is
-  factored and the dense covariance is never formed on the run path
-  (``ChannelStats.Pi`` and ``ChannelStats.R_xh`` build them on demand);
-* the update builds the same factors from a batched state-to-measurement
-  map (``sounding.observation_map`` on the run path); each partial step
-  solves one (2n+1)-square system, and the 2*N_T*N_R-square innovation
-  covariance is never formed.
+* beam design (``beams``) solves its pencil through it, on the moments of
+  ``channel_statistics``, so nothing in channel space is factored and the
+  dense covariance is never formed on the run path (``ChannelStats.Pi`` and
+  ``ChannelStats.R_xh`` build them on demand);
+* the update builds the same moments, with the same helper, from a batched
+  state-to-measurement map (``sounding.observation_map`` on the run path);
+  each partial step solves one (2n+1)-square system, and the
+  2*N_T*N_R-square innovation covariance is never formed.
 
 All linear algebra here is numpy's, so one BLAS library serves the loop.
 Each partial step of the update factors its posterior once: the Cholesky
@@ -97,26 +97,35 @@ class SigmaSet:
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Sigma-transform moments of the stacked-real channel, kept factored.
+    """Sigma moments of a channel or a measurement, kept factored.
 
-    With the images ``zeta`` of the 2n+1 sigma points, ``Z = zeta[1:] -
+    The moments are the mean ``h_hat``, the covariance ``Pi = E^T J E`` and
+    the state cross-covariance ``R_xh = T^T E``, for ``E`` of shape k x m,
+    a symmetric k-square core ``J`` with at most one negative eigenvalue and
+    ``T`` of shape k x n.  Both solves take their moments in this form
+    (``push_through_solve``).  Dense moments are the factors ``E = I``,
+    ``J = Pi``, ``T = R_xh^T``; a state weighting W, as in A = R_xh^T W^-1
+    R_xh, is the column scaling ``T / sqrt(W)``.
+
+    From the images ``zeta`` of 2n+1 sigma points, with ``Z = zeta[1:] -
     zeta[0]``, the points' differences ``dX`` from the centre point, the
     outer weights ``w``, ``m = w Z`` and ``s = w dX``, the factors are
 
         ``E = [sqrt(w) Z; sqrt|beta| m]``, ``J = diag(1, ..., sign beta)``,
         ``T = [sqrt(w) (dX - s); 0]``,
 
-    where ``beta`` is the sum of the covariance weights less two.  The
-    sigma-weighted moments are exactly ``h_hat = zeta[0] + m``,
-    ``Pi = E^T J E`` and ``R_xh = T^T E`` (deviations of the state taken
-    from the centre point; ``s`` is zero for a symmetric set, up to the
-    rounding of its points).  No negative weight multiplies a deviation.
+    where ``beta`` is the sum of the covariance weights less two.  These
+    are exactly the sigma-weighted moments, ``h_hat = zeta[0] + m`` and the
+    deviations of the state taken from the centre point (``s`` is zero for
+    a symmetric set, up to the rounding of its points).  No negative weight
+    multiplies a deviation.
 
     Attributes:
-        h_hat: Predicted (weighted mean) channel.
-        E: Weighted channel factor, (2n+1) x m.
-        J: Sign core, (2n+1)-square diagonal.
-        T: Weighted state factor, (2n+1) x n; its last row is zero.
+        h_hat: Predicted (weighted mean) channel or measurement.
+        E: Weighted image factor, k x m; (2n+1) x m from sigma points.
+        J: Symmetric core, k x k; the diagonal signs above from sigma points.
+        T: Weighted state factor, k x n; its last row is zero from sigma
+            points.
     """
 
     h_hat: np.ndarray
@@ -209,32 +218,35 @@ def channel_statistics(sigma: SigmaSet, channel_fn) -> ChannelStats:
     w = sigma.w_cov[1:]
     if not np.array_equal(sigma.w_mean[1:], w):
         raise BadScaling("outer mean and covariance weights differ")
-    beta = _beta(sigma.w_cov)
     zeta = np.asarray(channel_fn(sigma.points), dtype=float)
-    h_hat, E, T = _centre_factors(zeta, sigma.points, w, beta)
-    return ChannelStats(h_hat=h_hat, E=E, J=_sign_core(w.size + 1, beta), T=T)
+    return _sigma_moments(zeta, sigma.points, w, _beta(sigma.w_cov))
 
 
-def _centre_factors(zeta, points, w, beta: float):
-    """Predicted image and the factors E and T of ``ChannelStats``.
+def _sigma_moments(zeta, points, w, beta: float) -> ChannelStats:
+    """The factored moments of the images ``zeta`` of the sigma ``points``.
 
-    ``zeta`` holds the images of the sigma ``points``, one row each, and
-    ``w`` the outer weights, which must be equal for mean and covariance.
+    ``zeta`` holds one image per point, ``w`` the outer weights, which must
+    be equal for mean and covariance, and ``beta`` the weight of the
+    mean-shift term (``_beta``).
     """
     if zeta.shape[0] != points.shape[0]:
         raise DimensionMismatch(
             f"map returned {zeta.shape[0]} rows for {points.shape[0]} sigma points"
         )
+    k = points.shape[0]
     Z = zeta[1:] - zeta[0]
     m = w @ Z
     root_w = np.sqrt(w)[:, None]
-    E = np.empty((points.shape[0], zeta.shape[1]))
+    E = np.empty((k, zeta.shape[1]))
     np.multiply(root_w, Z, out=E[:-1])
     np.multiply(np.sqrt(abs(beta)), m, out=E[-1])
     dX = points[1:] - points[0]
     T = np.zeros(points.shape)
     np.multiply(root_w, dX - w @ dX, out=T[:-1])
-    return zeta[0] + m, E, T
+    J = np.eye(k)
+    if beta < 0.0:
+        J[-1, -1] = -1.0
+    return ChannelStats(h_hat=zeta[0] + m, E=E, J=J, T=T)
 
 
 def _beta(w_cov) -> float:
@@ -247,33 +259,27 @@ def _beta(w_cov) -> float:
     return math.fsum(w_cov) - 2.0
 
 
-def _sign_core(k: int, beta: float) -> np.ndarray:
-    """``J = diag(1, ..., 1, sign beta)`` of order k."""
-    J = np.eye(k)
-    if beta < 0.0:
-        J[-1, -1] = -1.0
-    return J
+def push_through_solve(
+    stats: ChannelStats, c: float, check: bool, error=SingularInnovation
+):
+    """Solves the moments' covariance plus noise in the factors' subspace.
 
-
-def push_through_solve(E, core, c: float, T, check: bool, error=SingularInnovation):
-    """Solves a factored covariance plus noise in the factor's subspace.
-
-    For the covariance ``E^T core E`` (``E`` of shape k x p, ``core``
-    symmetric k x k) and the noise level ``c``, ``B = c I + E^T core E`` is
-    p-square, but the push-through identity ``B E^T = E^T K`` with
-    ``K = c I + core G`` and ``G = E E^T`` gives ``B^-1 E^T = E^T K^-1``.
-    So for a cross-covariance ``T^T E`` (``T`` of shape k x r)
+    For the moments' covariance ``E^T J E`` (``E`` of shape k x p) and the
+    noise level ``c``, ``B = c I + E^T J E`` is p-square, but the
+    push-through identity ``B E^T = E^T K`` with ``K = c I + J G`` and
+    ``G = E E^T`` gives ``B^-1 E^T = E^T K^-1``.  So for the
+    cross-covariance ``T^T E`` (``T`` of shape k x r)
 
         ``B^-1 E^T T = E^T Y`` and ``T^T E B^-1 E^T T = T^T G Y``,
 
     with ``Y = K^-1 T``: one k-square solve.  The second is the reduction of
     the state covariance by a measurement of the whole factored vector at
-    noise variance ``c``, and the Gram matrix of the beam pencil.
+    noise variance ``c``, and the Gram matrix of the beam pencil.  ``h_hat``
+    does not enter.
 
     B is positive definite exactly when every eigenvalue of K is positive.
-    With ``check`` set, ``det K > 0`` is required, which decides that when
-    the core has at most one negative eigenvalue, as the sign core ``J`` of
-    sigma statistics has.
+    With ``check`` set, ``det K > 0`` is required, which decides that for
+    the core's contract of at most one negative eigenvalue.
 
     Returns:
         ``(Y, T^T G Y)``.
@@ -281,9 +287,10 @@ def push_through_solve(E, core, c: float, T, check: bool, error=SingularInnovati
     Raises:
         error: ``check`` is set and ``det K <= 0``.
     """
+    E, T = stats.E, stats.T
     k = E.shape[0]
     G = E @ E.T
-    K = core @ G
+    K = stats.J @ G
     K.flat[:: k + 1] += c
     if check and np.linalg.slogdet(K)[0] <= 0.0:
         raise error("noise plus factored covariance is not positive definite")
@@ -406,8 +413,9 @@ def update(
 def _partial_step(points, measure, y: Observation, w, beta: float, c: float):
     """Mean and covariance increments of one unscented update at noise variance c.
 
-    The images ``zeta`` of the points give the factors of ``ChannelStats``
-    in measurement space: the predicted measurement ``h = zeta[0] + m``, the
+    The images ``zeta`` of the points give their moments as a
+    ``ChannelStats`` in measurement space, built as ``channel_statistics``
+    builds them: the predicted measurement ``h_hat = zeta[0] + m``, the
     innovation covariance ``S = c I + E^T J E`` and the cross-covariance
     ``T^T E``.  No negative weight multiplies a deviation, so a large
     negative centre weight costs no digits.  With ``Y = K^-1 T`` from
@@ -428,7 +436,6 @@ def _partial_step(points, measure, y: Observation, w, beta: float, c: float):
             f"measurement map produced length {zeta.shape[1]}, "
             f"observation has {y.y_real.shape[0]}"
         )
-    h, E, T = _centre_factors(zeta, points, w, beta)
-    core = _sign_core(points.shape[0], beta)
-    Y, dR = push_through_solve(E, core, c, T, check=beta < 0.0)
-    return Y.T @ (E @ (y.y_real - h)), dR
+    stats = _sigma_moments(zeta, points, w, beta)
+    Y, dR = push_through_solve(stats, c, check=beta < 0.0)
+    return Y.T @ (stats.E @ (y.y_real - stats.h_hat)), dR

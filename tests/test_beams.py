@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 
 import beamtrack
 from beamtrack.beams import (
-    BeamDesignInput,
     _slot_order,
     baseline_beams,
     beams_from_directions,
@@ -27,7 +27,13 @@ from beamtrack.channel import (
     steering_vector,
     virtual_to_spatial,
 )
-from beamtrack.errors import BadBeamCount, BadConfig, ZeroMatrix
+from beamtrack.errors import (
+    BadBeamCount,
+    BadConfig,
+    DimensionMismatch,
+    NonpositiveSnr,
+    ZeroMatrix,
+)
 from beamtrack.numerics import (
     KroneckerFactorDims,
     complex_to_real_stacked,
@@ -36,6 +42,7 @@ from beamtrack.numerics import (
 )
 from beamtrack.sounding import build_plan, observation_map, observe
 from beamtrack.tracker import (
+    ChannelStats,
     TrackerState,
     UkfParams,
     channel_statistics,
@@ -50,34 +57,27 @@ def unit_columns(rng, m, n):
     return B / np.linalg.norm(B, axis=0)
 
 
-def design_input(rng, n=6, m=8, n_t=2, n_r=2, Pi=None, R_xh=None, **overrides):
-    """A pencil with a dense channel covariance Pi (zero by default).
+RHO = 10.0
 
-    A dense Pi is the factor pair (I, Pi), so the cross-covariance's factor
-    coordinates are T = R_xh^T.
+
+def design_input(rng, n=6, m=8, Pi=None, R_xh=None):
+    """Dense moments with channel covariance Pi (zero by default).
+
+    Dense moments are the factors E = I, J = Pi and T = R_xh^T.
     """
     if Pi is None:
         Pi = np.zeros((2 * m, 2 * m))
     drawn = rng.standard_normal((n, 2 * m))
     if R_xh is None:
         R_xh = drawn
-    fields = dict(
-        T=R_xh.T,
-        Pi_factors=(np.eye(2 * m), Pi),
-        W=np.ones(n),
-        rho=10.0,
-        num_tx_beams=n_t,
-        num_rx_beams=n_r,
-    )
-    fields.update(overrides)
-    return BeamDesignInput(**fields)
+    return ChannelStats(h_hat=np.zeros(2 * m), E=np.eye(2 * m), J=Pi, T=R_xh.T)
 
 
 class TestUnconstrainedOptimalDirections:
     def test_zero_cross_covariance_means_zero_eigenvalues(self):
         rng = np.random.default_rng(70)
-        inp = design_input(rng, R_xh=np.zeros((6, 16)))
-        _, eigvals = unconstrained_optimal_directions(inp)
+        stats = design_input(rng, R_xh=np.zeros((6, 16)))
+        _, eigvals = unconstrained_optimal_directions(stats, RHO, 4)
         np.testing.assert_allclose(eigvals, 0.0, atol=1e-12)
 
     def test_single_row_gives_matched_direction(self):
@@ -85,49 +85,75 @@ class TestUnconstrainedOptimalDirections:
         r = rng.standard_normal(16)
         R_xh = np.zeros((6, 16))
         R_xh[2] = r
-        inp = design_input(rng, R_xh=R_xh)
-        V, eigvals = unconstrained_optimal_directions(inp)
+        stats = design_input(rng, R_xh=R_xh)
+        V, eigvals = unconstrained_optimal_directions(stats, RHO, 4)
         cos = abs(V[:, 0] @ r) / (np.linalg.norm(V[:, 0]) * np.linalg.norm(r))
         assert cos > 1.0 - 1e-10
-        np.testing.assert_allclose(eigvals[0], 2.0 * inp.rho * (r @ r), rtol=1e-10)
+        np.testing.assert_allclose(eigvals[0], 2.0 * RHO * (r @ r), rtol=1e-10)
         np.testing.assert_allclose(eigvals[1:], 0.0, atol=1e-8)
 
     def test_residual_on_random_pencils(self):
         rng = np.random.default_rng(72)
         M = rng.standard_normal((16, 16))
         Pi = M @ M.T / 16.0
-        inp = design_input(rng, Pi=Pi)
-        V, eigvals = unconstrained_optimal_directions(inp)
-        A = inp.T @ inp.T.T
-        B = Pi + np.eye(16) / (2.0 * inp.rho)
+        stats = design_input(rng, Pi=Pi)
+        V, eigvals = unconstrained_optimal_directions(stats, RHO, 4)
+        A = stats.T @ stats.T.T
+        B = Pi + np.eye(16) / (2.0 * RHO)
         resid = np.linalg.norm(A @ V - B @ V @ np.diag(eigvals))
         assert resid < 1e-8
 
-    def test_rejects_nonpositive_weights(self):
-        rng = np.random.default_rng(73)
-        with pytest.raises(BadConfig):
-            design_input(rng, W=np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0]))
+
+class TestDesignChecks:
+    """The pencil and design_beams reject bad SNRs, beam counts and factors."""
+
+    GEOM = ArrayGeometry(4)
+
+    def stats(self):
+        return design_input(np.random.default_rng(75), m=16)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0])
+    def test_nonpositive_snr(self, rho):
+        with pytest.raises(NonpositiveSnr):
+            unconstrained_optimal_directions(self.stats(), rho, 4)
+        with pytest.raises(NonpositiveSnr):
+            design_beams(self.stats(), self.GEOM, self.GEOM, rho, 2, 2)
+
+    @pytest.mark.parametrize("n_t, n_r", [(0, 2), (2, 0), (0, 0)])
+    def test_zero_beams(self, n_t, n_r):
+        with pytest.raises(BadBeamCount):
+            unconstrained_optimal_directions(self.stats(), RHO, n_t * n_r)
+        with pytest.raises(BadBeamCount):
+            design_beams(self.stats(), self.GEOM, self.GEOM, RHO, n_t, n_r)
+
+    @pytest.mark.parametrize("factor", ["E", "J", "T"])
+    def test_factors_disagreeing_in_k(self, factor):
+        stats = self.stats()
+        short = replace(stats, **{factor: getattr(stats, factor)[:-1]})
+        with pytest.raises(DimensionMismatch):
+            unconstrained_optimal_directions(short, RHO, 4)
+        with pytest.raises(DimensionMismatch):
+            design_beams(short, self.GEOM, self.GEOM, RHO, 2, 2)
 
 
 class TestSignalSubspace:
     """Directions beyond the signal rank must not shape the beams."""
 
-    def rank_two_input(self, rng, n_t=2, n_r=2):
+    def rank_two_input(self, rng):
         R_xh = np.zeros((6, 32))
         R_xh[:2] = rng.standard_normal((2, 32))
         M = rng.standard_normal((32, 32))
-        return design_input(rng, R_xh=R_xh, Pi=M @ M.T / 32.0, m=16,
-                            n_t=n_t, n_r=n_r)
+        return design_input(rng, R_xh=R_xh, Pi=M @ M.T / 32.0, m=16)
 
     def test_signal_rank_counts_nonround_off_eigenvalues(self):
         rng = np.random.default_rng(90)
-        _, eigvals = unconstrained_optimal_directions(self.rank_two_input(rng))
+        _, eigvals = unconstrained_optimal_directions(self.rank_two_input(rng), RHO, 4)
         assert signal_rank(eigvals) == 2
         assert signal_rank(np.zeros(3)) == 0
 
     def test_rotating_null_directions_leaves_beams_unchanged(self):
         rng = np.random.default_rng(91)
-        V, eigvals = unconstrained_optimal_directions(self.rank_two_input(rng))
+        V, eigvals = unconstrained_optimal_directions(self.rank_two_input(rng), RHO, 4)
         dims = KroneckerFactorDims(4, 2, 4, 2)
         Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         rotated = V.copy()
@@ -141,9 +167,7 @@ class TestSignalSubspace:
         # Two signal directions reach transmit beams 0 and 1; beam 2 takes
         # the grid column.
         rng = np.random.default_rng(92)
-        V, eigvals = unconstrained_optimal_directions(
-            self.rank_two_input(rng, n_t=3, n_r=2)
-        )
+        V, eigvals = unconstrained_optimal_directions(self.rank_two_input(rng), RHO, 6)
         out = beams_from_directions(V, eigvals, KroneckerFactorDims(4, 3, 4, 2))
         grid = baseline_beams("dft_grid", 4, 3)
         np.testing.assert_allclose(out.F[:, 2], grid[:, 2], atol=1e-15)
@@ -178,11 +202,10 @@ class TestSignalSubspace:
 
     def test_matches_dense_generalized_eigensolver(self):
         rng = np.random.default_rng(93)
-        inp = self.rank_two_input(rng)
-        V, eigvals = unconstrained_optimal_directions(inp)
-        A = inp.T @ inp.T.T
-        F, Pi = inp.Pi_factors
-        B = F @ Pi @ F.T + np.eye(32) / (2.0 * inp.rho)
+        stats = self.rank_two_input(rng)
+        V, eigvals = unconstrained_optimal_directions(stats, RHO, 4)
+        A = stats.T @ stats.T.T
+        B = stats.E.T @ stats.J @ stats.E + np.eye(32) / (2.0 * RHO)
         w, U = generalized_eig_sym(A, B, 2)
         np.testing.assert_allclose(eigvals[:2], w, rtol=1e-10)
         for j in range(2):
@@ -363,8 +386,10 @@ class TestDesignBeams:
         dims = KroneckerFactorDims(8, 2, 8, 2)
 
         def weighted(W):
-            inp = BeamDesignInput(stats.T, (stats.E.T, stats.J), W, 10.0, 2, 2)
-            return beams_from_directions(*unconstrained_optimal_directions(inp), dims)
+            scaled = replace(stats, T=stats.T / np.sqrt(W))
+            return beams_from_directions(
+                *unconstrained_optimal_directions(scaled, RHO, 4), dims
+            )
 
         a = weighted(np.ones(6))
         b = weighted(5.0 * np.ones(6))

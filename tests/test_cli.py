@@ -214,6 +214,7 @@ class TestSimulateCommand:
             "d_over_lambda=0",
             "init_pos_var=inf",
             "sigma_vdot=nan",
+            "seed=-1",
         ],
     )
     def test_bad_scenario_value_exits_1_before_writing(self, tmp_path, capsys, setting):

@@ -1,19 +1,21 @@
 """Factored sigma-subspace kernels against the dense channel-space maths.
 
-Beam design solves its pencil through the factors Pi = F Omega F^T and
-R_xh = T^T F^T, and the update pushes sigma points through the factored
-observation map; both solve the same (2n+1)-square push-through system.
+Beam design solves its pencil through the factored moments Pi = E^T J E
+and R_xh = T^T E of ``ChannelStats``, and the update pushes sigma points
+through the factored observation map; both solve the same (2n+1)-square
+push-through system.
 Each test here writes the dense reference (a Cholesky factorization of the
 m x m matrix Pi + I/(2 rho), or G Pi G^T and an explicit inverse) and
 requires the factored kernels to agree with it.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from beamtrack import simulate
 from beamtrack.beams import (
-    BeamDesignInput,
     design_beams,
     signal_rank,
     unconstrained_optimal_directions,
@@ -23,6 +25,7 @@ from beamtrack.errors import BadScaling, SingularB, SingularInnovation
 from beamtrack.simulate import FILTER_PARAMS, ScenarioConfig, generate_scenario, run_frame
 from beamtrack.sounding import Observation, build_plan, observation_map, observe
 from beamtrack.tracker import (
+    ChannelStats,
     SigmaSet,
     TrackerState,
     UkfParams,
@@ -59,10 +62,18 @@ def reference_stats(run_index):
     return cfg, channel_statistics(sigma, make_channel_fn(cfg.L, tx, rx))
 
 
-def assert_directions_match(inp, Pi, n_dirs):
-    V, eigvals = unconstrained_optimal_directions(inp)
-    R_xh = (inp.Pi_factors[0] @ inp.T).T
-    V_ref, w_ref = dense_directions(R_xh, Pi, inp.W, inp.rho, n_dirs)
+def assert_directions_match(stats, Pi, rho, n_dirs, W=None):
+    """The factored directions of ``stats`` weighted by W against the dense solve.
+
+    The weighting enters the factors as the column scaling T / sqrt(W), and
+    the dense reference as U = R_xh^T / sqrt(W).
+    """
+    W = np.ones(stats.T.shape[1]) if W is None else W
+    V, eigvals = unconstrained_optimal_directions(
+        replace(stats, T=stats.T / np.sqrt(W)), rho, n_dirs
+    )
+    R_xh = (stats.E.T @ stats.T).T
+    V_ref, w_ref = dense_directions(R_xh, Pi, W, rho, n_dirs)
     k = w_ref.size
     np.testing.assert_allclose(eigvals[:k], w_ref, rtol=0.0, atol=1e-9 * w_ref[0])
     # Only the signal directions are fixed by the model; the rest are
@@ -72,24 +83,22 @@ def assert_directions_match(inp, Pi, n_dirs):
     np.testing.assert_allclose(V[:, :rank], V_ref[:, :rank], rtol=0.0, atol=1e-8)
 
 
+def dense_moments(Pi, R_xh):
+    """Dense moments as factors: E = I, J = Pi, T = R_xh^T."""
+    m = Pi.shape[0]
+    return ChannelStats(h_hat=np.zeros(m), E=np.eye(m), J=Pi, T=R_xh.T)
+
+
 class TestFactoredPencil:
     @pytest.mark.parametrize("run_index", [0, 1, 2])
     def test_matches_dense_solve_on_sigma_statistics(self, run_index):
         cfg, stats = reference_stats(run_index)
         assert stats.E.shape == (2 * 6 * cfg.L + 1, 512)
-        inp = BeamDesignInput(
-            T=stats.T,
-            Pi_factors=(stats.E.T, stats.J),
-            W=np.ones(stats.T.shape[1]),
-            rho=cfg.rho,
-            num_tx_beams=cfg.N_T,
-            num_rx_beams=cfg.N_R,
-        )
-        assert_directions_match(inp, stats.Pi, cfg.N_T * cfg.N_R)
+        assert_directions_match(stats, stats.Pi, cfg.rho, cfg.N_T * cfg.N_R)
 
     def test_matches_dense_solve_outside_the_sigma_span(self):
         # A generic cross-covariance lies outside the span of the sigma
-        # differences, so it needs the dense pair (I, Pi), T = R_xh^T.
+        # differences, so it needs dense moments, T = R_xh^T.
         cfg, stats = reference_stats(0)
         rng = np.random.default_rng(100)
         R_xh = rng.standard_normal(stats.R_xh.shape)
@@ -97,11 +106,9 @@ class TestFactoredPencil:
         U = R_xh.T
         assert np.linalg.norm(U - Q @ (Q.T @ U)) > 0.9 * np.linalg.norm(U)
         W = rng.uniform(0.5, 2.0, R_xh.shape[0])
-        inp = BeamDesignInput(
-            T=R_xh.T, Pi_factors=(np.eye(512), stats.Pi), W=W, rho=cfg.rho,
-            num_tx_beams=cfg.N_T, num_rx_beams=cfg.N_R,
+        assert_directions_match(
+            dense_moments(stats.Pi, R_xh), stats.Pi, cfg.rho, cfg.N_T * cfg.N_R, W
         )
-        assert_directions_match(inp, stats.Pi, cfg.N_T * cfg.N_R)
 
     def test_matches_dense_solve_on_a_generic_factor_coordinate(self):
         # T need not be the sigma state factor: a generic T, last row
@@ -110,21 +117,16 @@ class TestFactoredPencil:
         rng = np.random.default_rng(104)
         T = rng.standard_normal(stats.T.shape)
         W = rng.uniform(0.5, 2.0, T.shape[1])
-        inp = BeamDesignInput(
-            T=T, Pi_factors=(stats.E.T, stats.J), W=W, rho=cfg.rho,
-            num_tx_beams=cfg.N_T, num_rx_beams=cfg.N_R,
+        assert_directions_match(
+            replace(stats, T=T), stats.Pi, cfg.rho, cfg.N_T * cfg.N_R, W
         )
-        assert_directions_match(inp, stats.Pi, cfg.N_T * cfg.N_R)
 
     def test_dense_input_is_the_identity_factor(self):
         cfg, stats = reference_stats(0)
-        common = dict(W=np.ones(stats.T.shape[1]), rho=cfg.rho,
-                      num_tx_beams=cfg.N_T, num_rx_beams=cfg.N_R)
-        dense = BeamDesignInput(T=stats.R_xh.T, Pi_factors=(np.eye(512), stats.Pi), **common)
-        factored = BeamDesignInput(T=stats.T, Pi_factors=(stats.E.T, stats.J), **common)
-        np.testing.assert_array_equal(dense.Pi_factors[0], np.eye(512))
-        _, w_d = unconstrained_optimal_directions(dense)
-        _, w_f = unconstrained_optimal_directions(factored)
+        dense = dense_moments(stats.Pi, stats.R_xh)
+        np.testing.assert_array_equal(dense.E, np.eye(512))
+        _, w_d = unconstrained_optimal_directions(dense, cfg.rho, cfg.N_T * cfg.N_R)
+        _, w_f = unconstrained_optimal_directions(stats, cfg.rho, cfg.N_T * cfg.N_R)
         np.testing.assert_allclose(w_f, w_d, rtol=1e-9, atol=1e-9 * w_d[0])
 
     def test_indefinite_core_raises_singular_b(self):
@@ -132,14 +134,13 @@ class TestFactoredPencil:
         m, k = 64, 9
         F = rng.standard_normal((m, k))
         Omega = np.diag(np.r_[-10.0, np.ones(k - 1)])
-        inp = BeamDesignInput(
-            T=rng.standard_normal((k, 6)), Pi_factors=(F, Omega), W=np.ones(6),
-            rho=10.0, num_tx_beams=2, num_rx_beams=2,
+        stats = ChannelStats(
+            h_hat=np.zeros(m), E=F.T, J=Omega, T=rng.standard_normal((k, 6))
         )
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(F @ Omega @ F.T + np.eye(m) / 20.0)
         with pytest.raises(SingularB):
-            unconstrained_optimal_directions(inp)
+            unconstrained_optimal_directions(stats, 10.0, 4)
 
 
 def small_problem(seed):
@@ -387,11 +388,7 @@ class TestSharedSubspaceSolve:
         # update step removes exactly U^T B^-1 U from the covariance.
         prior, sigma, stats, _, _, _, params, rho = small_problem(seed)
         n, M = prior.R.shape[0], 8
-        inp = BeamDesignInput(
-            T=stats.T, Pi_factors=(stats.E.T, stats.J), W=np.ones(n), rho=rho,
-            num_tx_beams=4, num_rx_beams=4,
-        )
-        _, eigvals = unconstrained_optimal_directions(inp)
+        _, eigvals = unconstrained_optimal_directions(stats, rho, 16)
         geom = ArrayGeometry(M)
         measure = observation_map(build_plan(np.eye(M), np.eye(M)), 2, geom, geom)
         obs = Observation(y_real=np.zeros(2 * M * M), snr_rho=rho)

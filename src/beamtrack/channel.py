@@ -140,9 +140,13 @@ def virtual_to_spatial(upsilon, geom: ArrayGeometry):
     strictly increasing in ``upsilon``, saturating at ``+/- d/lambda``.
     Accepts scalars or arrays.
     """
-    upsilon = np.asarray(upsilon, dtype=float)
-    nu = geom.d_over_lambda * upsilon / np.sqrt(1.0 + upsilon * upsilon)
+    nu = _spatial_angle(np.asarray(upsilon, dtype=float), geom.d_over_lambda)
     return nu if nu.ndim else float(nu)
+
+
+def _spatial_angle(upsilon: np.ndarray, d_over_lambda) -> np.ndarray:
+    """:func:`virtual_to_spatial` at a spacing that broadcasts against ``upsilon``."""
+    return d_over_lambda * upsilon / np.sqrt(1.0 + upsilon * upsilon)
 
 
 def angle_to_virtual(theta: float) -> float:
@@ -170,27 +174,36 @@ def steering_factors(
     Returns ``(gains, a_t, a_r)`` of shapes (P, L), (P, M_T, L) and
     (P, M_R, L).  Row p's channel is ``a_r[p] @ diag(gains[p]) @ a_t[p]^H``,
     a rank-L factorization that callers can work with directly instead of
-    forming the M_R x M_T matrix.
+    forming the M_R x M_T matrix.  Both sides' 2L columns come from one
+    :func:`_steering_columns` stack over max(M_T, M_R) antennas, so a_t and
+    a_r are views into it with the antenna axis outermost in memory.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     lay = StateLayout.of(L)
     if X.shape[1] != lay.size:
         raise DimensionMismatch(f"state rows must have length {lay.size}, got {X.shape[1]}")
     gains = X[:, lay.gain_re] + 1j * X[:, lay.gain_im]
-    a_t = _steering_columns(virtual_to_spatial(X[:, lay.tx_pos], tx), tx.num_antennas)
-    a_r = _steering_columns(virtual_to_spatial(X[:, lay.rx_pos], rx), rx.num_antennas)
-    return gains, a_t, a_r
+    spacing = np.array((tx.d_over_lambda,) * L + (rx.d_over_lambda,) * L)
+    M_T, M_R = tx.num_antennas, rx.num_antennas
+    a = _steering_columns(_spatial_angle(X[:, lay.positions], spacing), max(M_T, M_R))
+    return gains, a[:M_T, :, :L].transpose(1, 0, 2), a[:M_R, :, L:].transpose(1, 0, 2)
 
 
 def _steering_columns(nu: np.ndarray, M: int) -> np.ndarray:
-    """Steering vectors of (P, L) spatial angles as (P, M, L) columns.
+    """Steering vectors of (P, K) spatial angles as an (M, P, K) stack.
 
-    Entry m is ``w**m`` with ``w = exp(-2j pi nu)``: one complex exp per
-    path, then a running product over the antennas.  Each factor adds one
-    rounding, so entry m is within about m ulps of ``exp(-2j pi m nu)``.
+    Entry m is ``w**m`` with ``w = exp(-2j pi nu)``: one complex exp for all
+    K columns, then one running product along the leading antenna axis,
+    ``a[m] = a[m-1] * w``.  Each factor adds one rounding, so entry m is
+    within about m ulps of ``exp(-2j pi m nu)``.  Every product is
+    elementwise, so a column's values do not depend on the other columns
+    or rows beside it, and a shorter array is a prefix of a longer one.
     """
-    w = np.exp(-2j * np.pi * nu)
-    return np.cumprod(np.broadcast_to(w[:, None, :], (w.shape[0], M, w.shape[1])), axis=1)
+    a = np.empty((M,) + nu.shape, dtype=complex)
+    np.exp(-2j * np.pi * nu, out=a[0])
+    for m in range(1, M):
+        np.multiply(a[m - 1], a[0], out=a[m])
+    return a
 
 
 def channel_matrix(state: ChannelState, tx: ArrayGeometry, rx: ArrayGeometry) -> np.ndarray:

@@ -10,8 +10,9 @@ The run path never forms ``G``.  There are two measurement maps, one per
 consumer.  The truth is measured densely as ``Z^H H F`` by
 ``noiseless_measurement``, to which ``observe`` adds the noise.  The filter's
 map from states to measurements works on the rank-L steering factors of
-``H = a_R diag(g) a_T^H``: ``(Z^H a_R) diag(g) (a_T^H F)``, an N_R x L by
-L x N_T product per state (see ``observation_map``).  ``G`` and its
+``H = a_R diag(g) a_T^H``: ``(Z^H a_R) diag(g) (F^H a_T)^H``, an N_R x L by
+L x N_T product per state, formed state by state so that a state's row does
+not depend on the batch around it (see ``observation_map``).  ``G`` and its
 stacked-real form are built on demand for cross-checks.
 """
 
@@ -104,20 +105,21 @@ def observation_map(plan: SoundingPlan, L: int, tx: ArrayGeometry, rx: ArrayGeom
 
     Row p of the result is ``G h_p`` for the stacked-real channel ``h_p`` of
     state p, computed from the steering factors as
-    ``vec((Z^H a_R) diag(g) (a_T^H F))``; neither the channel nor G is formed.
+    ``vec((Z^H a_R) diag(g) (F^H a_T)^H)``; neither the channel nor G is formed.
     """
     if (tx.num_antennas, rx.num_antennas) != (plan.F.shape[0], plan.Z.shape[0]):
         raise DimensionMismatch(
             f"arrays of {tx.num_antennas} x {rx.num_antennas} antennas do not fit "
             f"beams of length {plan.F.shape[0]} x {plan.Z.shape[0]}"
         )
-    F_t, Z_h = plan.F.T, plan.Z.conj().T
+    F_h, Z_h = plan.F.conj().T, plan.Z.conj().T
 
     def measure(X: np.ndarray) -> np.ndarray:
         gains, a_t, a_r = steering_factors(X, L, tx, rx)
-        # Y_p^T = (F^T conj(a_T)) diag(g) (Z^H a_R)^T is N_T x N_R, so its
-        # row-major flattening is the column-major vec of Y_p.
-        tx_side = (F_t @ a_t.conj()) * gains[:, None, :]
+        # Y_p^T = conj(F^H a_T) diag(g) (Z^H a_R)^T is N_T x N_R, so its
+        # row-major flattening is the column-major vec of Y_p.  Conjugating
+        # the N_T x L product touches fewer entries than the M_T x L factor.
+        tx_side = (F_h @ a_t).conj() * gains[:, None, :]
         Y_t = tx_side @ np.swapaxes(Z_h @ a_r, 1, 2)
         y = Y_t.reshape(Y_t.shape[0], -1)
         return np.concatenate([y.real, y.imag], axis=1)

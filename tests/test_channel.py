@@ -195,18 +195,32 @@ class TestRealChannelVector:
 
 
 class TestSteeringFactors:
-    @pytest.mark.parametrize("M", [1, 2, 16, 64])
-    def test_running_product_matches_exp_formula(self, M):
+    @pytest.mark.parametrize(
+        "tx, rx",
+        [(ArrayGeometry(M), ArrayGeometry(M)) for M in (1, 2, 16, 64)]
+        + [
+            (ArrayGeometry(16, 0.5), ArrayGeometry(5, 0.3)),
+            (ArrayGeometry(3, 0.7), ArrayGeometry(64, 0.5)),
+        ],
+        ids=["1", "2", "16", "64", "tx-longer", "rx-longer"],
+    )
+    def test_running_product_matches_exp_formula(self, tx, rx):
         # Virtual positions up to 1e3 put the spatial angles right at the
         # edge of the visible range, where the phase per antenna is largest.
+        # The two sides share one running product, so each must come out at
+        # its own length and spacing.
         rng = np.random.default_rng(19)
         L, P = 4, 50
         X = rng.standard_normal((P, 6 * L))
         X[:, 2 * L :] *= np.logspace(-2, 3, P)[:, None]
-        geom = ArrayGeometry(M)
-        _, a_t, a_r = steering_factors(X, L, geom, geom)
-        m = np.arange(1, M + 1)
-        for a, block in ((a_t, X[:, 2 * L : 4 * L : 2]), (a_r, X[:, 4 * L :: 2])):
+        _, a_t, a_r = steering_factors(X, L, tx, rx)
+        assert a_t.shape == (P, tx.num_antennas, L)
+        assert a_r.shape == (P, rx.num_antennas, L)
+        for a, block, geom in (
+            (a_t, X[:, 2 * L : 4 * L : 2], tx),
+            (a_r, X[:, 4 * L :: 2], rx),
+        ):
+            m = np.arange(1, geom.num_antennas + 1)
             nu = virtual_to_spatial(block, geom)
             ref = np.exp(-2j * np.pi * nu[:, None, :] * m[None, :, None])
             np.testing.assert_allclose(a, ref, rtol=0.0, atol=1e-13)

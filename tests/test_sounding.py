@@ -177,20 +177,27 @@ class TestObservationMap:
         assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize(
-        "L, M, N, P",
-        [(2, 8, 3, 25), (4, 16, 6, 49), (1, 16, 6, 13), (3, 7, 2, 37)],
-        ids=["small-problem", "default", "one-path", "odd"],
+        "L, tx, rx, N_T, N_R, P",
+        [
+            (2, ArrayGeometry(8), ArrayGeometry(8), 3, 3, 25),
+            (4, ArrayGeometry(16), ArrayGeometry(16), 6, 6, 49),
+            (1, ArrayGeometry(16), ArrayGeometry(16), 6, 6, 13),
+            (3, ArrayGeometry(7), ArrayGeometry(7), 2, 2, 37),
+            (4, ArrayGeometry(16, 0.5), ArrayGeometry(6, 0.35), 5, 3, 49),
+            (2, ArrayGeometry(5, 0.3), ArrayGeometry(12, 0.5), 2, 4, 31),
+        ],
+        ids=["small-problem", "default", "one-path", "odd", "tx-longer", "rx-longer"],
     )
-    def test_rows_do_not_depend_on_batch_position(self, L, M, N, P):
+    def test_rows_do_not_depend_on_batch_position(self, L, tx, rx, N_T, N_R, P):
         # A state's measurement is the same bit for bit wherever it sits in
         # the batch and when it is measured alone.  Sigma points that share
         # the centre's channel then measure exactly the centre's value, and
         # add nothing to the update (test_factored_kernels pins that).
         rng = np.random.default_rng(60 + L)
         for _ in range(4):
-            F, _ = np.linalg.qr(random_channel(rng, M, N))
-            Z, _ = np.linalg.qr(random_channel(rng, M, N))
-            measure = observation_map(build_plan(F, Z), L, ArrayGeometry(M), ArrayGeometry(M))
+            F, _ = np.linalg.qr(random_channel(rng, tx.num_antennas, N_T))
+            Z, _ = np.linalg.qr(random_channel(rng, rx.num_antennas, N_R))
+            measure = observation_map(build_plan(F, Z), L, tx, rx)
             X = rng.standard_normal((P, 6 * L))
             full = measure(X)
             perm = rng.permutation(P)

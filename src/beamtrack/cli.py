@@ -7,7 +7,9 @@ Two subcommands:
   plus ``output_dir``/``formats``/``arms``/``quantiles`` for output routing)
   and writes ``paths.csv``, ``esnr.csv``, and ``summary.json``.  ``--set
   key=value`` overrides take final precedence.  Identical config and seed
-  give byte-identical CSV output.
+  give byte-identical CSV output.  The CSVs are written run by run, one
+  bounded block of fine steps at a time, so writing them needs no more
+  memory for a large batch than for a small one.
 * ``selftest`` runs the numeric invariant suite (sigma-moment
   reconstruction, unscented-equals-Kalman on a linear map, Kronecker factor
   recovery) and prints a pass/fail table.  These are the checks of
@@ -29,6 +31,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,31 +207,45 @@ def _format_table(data: np.ndarray, fmt: list) -> str:
     return (row * rows) % tuple(cells.ravel().tolist())
 
 
-def _write_csv(path: str, columns: list, data: np.ndarray, fmt: list) -> None:
+# Fine steps of one run formatted and written together.  Emission builds
+# no table larger than one block, so its memory is bounded whatever the run
+# length or batch size.
+_EMIT_STEPS = 1024
+
+
+def _write_csv(
+    path: str, columns: list, blocks: Iterable[np.ndarray], fmt: list
+) -> None:
+    """Writes the schema and header lines, then each row block in turn."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_SCHEMA + "\n")
         fh.write(",".join(columns) + "\n")
-        fh.write(_format_table(data, fmt))
+        for block in blocks:
+            fh.write(_format_table(block, fmt))
 
 
-def _paths_table(records: list) -> np.ndarray:
-    blocks = []
+def _step_blocks(records: list) -> Iterator[tuple[int, RunRecord, slice]]:
+    """(run index, record, slice of fine steps) for each block, in run order."""
     for run, rec in enumerate(records):
-        n_fine, L = rec.true_tx.shape
-        blocks.append(
-            np.column_stack(
-                [
-                    np.full(n_fine * L, run),
-                    np.repeat(rec.times, L),
-                    np.tile(np.arange(L), n_fine),
-                    rec.true_tx.ravel(),
-                    rec.est_tx.ravel(),
-                    rec.true_rx.ravel(),
-                    rec.est_rx.ravel(),
-                ]
-            )
+        for start in range(0, rec.times.size, _EMIT_STEPS):
+            yield run, rec, slice(start, start + _EMIT_STEPS)
+
+
+def _paths_blocks(records: list) -> Iterator[np.ndarray]:
+    for run, rec, steps in _step_blocks(records):
+        times = rec.times[steps]
+        L = rec.true_tx.shape[1]
+        yield np.column_stack(
+            [
+                np.full(times.size * L, run),
+                np.repeat(times, L),
+                np.tile(np.arange(L), times.size),
+                rec.true_tx[steps].ravel(),
+                rec.est_tx[steps].ravel(),
+                rec.true_rx[steps].ravel(),
+                rec.est_rx[steps].ravel(),
+            ]
         )
-    return np.vstack(blocks)
 
 
 def _db(ratio: np.ndarray) -> np.ndarray:
@@ -243,19 +260,13 @@ _ARM_COLUMNS = {
 }
 
 
-def _esnr_table(records: list, arms: tuple) -> tuple[list, np.ndarray]:
-    columns = ["run", "t_s"]
-    blocks = []
-    for run, rec in enumerate(records):
-        cols = [np.full(rec.times.shape, run), rec.times]
-        for arm in ARMS:
-            if arm in arms:
-                cols.append(_db(getattr(rec, _ARM_COLUMNS[arm][1])))
-        blocks.append(np.column_stack(cols))
-    for arm in ARMS:
-        if arm in arms:
-            columns.append(_ARM_COLUMNS[arm][0])
-    return columns, np.vstack(blocks)
+def _esnr_blocks(records: list, names: list) -> Iterator[np.ndarray]:
+    for run, rec, steps in _step_blocks(records):
+        times = rec.times[steps]
+        yield np.column_stack(
+            [np.full(times.size, run), times]
+            + [_db(getattr(rec, name)[steps]) for name in names]
+        )
 
 
 def _arm_summary(records: list, arms: tuple, quantiles: tuple) -> dict:
@@ -296,21 +307,29 @@ def _write_summary(path: str, cfg: CliConfig, records: list) -> None:
 
 
 def _emit(cfg: CliConfig, records: list) -> list:
+    """Writes the selected result files; returns their names.
+
+    The CSVs are streamed: each run's rows are formatted and written one
+    block of ``_EMIT_STEPS`` fine steps at a time, in run order, so no table
+    of a whole run or batch is ever built.  Every cell's text is its format
+    spec applied to its value, whichever block holds it, so the files are
+    byte-identical to formatting the whole table at once.
+    """
     written = []
     if "csv" in cfg.formats:
-        paths_path = os.path.join(cfg.output_dir, "paths.csv")
         _write_csv(
-            paths_path,
+            os.path.join(cfg.output_dir, "paths.csv"),
             ["run", "t_s", "path", "true_aod_v", "est_aod_v", "true_aoa_v", "est_aoa_v"],
-            _paths_table(records),
+            _paths_blocks(records),
             ["%d", "%.10e", "%d", "%.10e", "%.10e", "%.10e", "%.10e"],
         )
         written.append("paths.csv")
-        columns, table = _esnr_table(records, cfg.arms)
+        arms = [_ARM_COLUMNS[arm] for arm in ARMS if arm in cfg.arms]
+        columns = ["run", "t_s"] + [column for column, _ in arms]
         _write_csv(
             os.path.join(cfg.output_dir, "esnr.csv"),
             columns,
-            table,
+            _esnr_blocks(records, [name for _, name in arms]),
             ["%d", "%.10e"] + ["%.10e"] * (len(columns) - 2),
         )
         written.append("esnr.csv")

@@ -3,12 +3,15 @@
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from beamtrack.cli import (
+    _EMIT_STEPS,
     CliConfig,
+    _emit,
     _format_table,
     build_cli_config,
     cmd_selftest,
@@ -17,7 +20,7 @@ from beamtrack.cli import (
     main,
 )
 from beamtrack.errors import BadConfig
-from beamtrack.simulate import ScenarioConfig, run_frame
+from beamtrack.simulate import RunRecord, ScenarioConfig, run_frame
 
 SMALL = [
     "L=1",
@@ -237,6 +240,8 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "diverged" in capsys.readouterr().err
+        for name in ("paths.csv", "esnr.csv", "summary.json"):
+            assert not (tmp_path / name).exists()
 
     def test_non_integer_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BEAMTRACK_THREADS", "two")
@@ -283,6 +288,112 @@ class TestFormatTable:
 
     def test_empty_table(self):
         assert _format_table(np.zeros((0, 2)), ["%d", "%.10e"]) == ""
+
+
+def synthetic_records(runs, n_fine, L, seed=0):
+    """Clean run records with random trajectories, for emission tests."""
+    rng = np.random.default_rng(seed)
+    period = np.arange(n_fine) // 100  # 100 fine steps per sounding
+    n_obs = period[-1] + 1
+    return [
+        RunRecord(
+            times=np.arange(n_fine) * 1e-6,
+            true_tx=rng.standard_normal((n_fine, L)),
+            est_tx=rng.standard_normal((n_obs, L))[period],  # held over each period
+            true_rx=rng.standard_normal((n_fine, L)),
+            est_rx=rng.standard_normal((n_fine, L)),
+            tracked_loss=rng.uniform(0.1, 1.0, n_fine),
+            oneshot_loss=rng.uniform(0.1, 1.0, n_fine),
+            prediction_gain=rng.uniform(0.5, 2.0, n_fine),
+            obs_times=np.arange(n_obs) * 1e-4,
+            trace_wr=rng.uniform(size=n_obs),
+            innovation_norms=rng.uniform(size=n_obs),
+        )
+        for _ in range(runs)
+    ]
+
+
+class TestStreamedEmission:
+    def test_bytes_equal_whole_table_text(self, tmp_path):
+        n_fine, L = 2 * _EMIT_STEPS + 37, 2
+        records = synthetic_records(3, n_fine, L)
+        diverged = records[1]
+        diverged.diverged = True
+        for name in ("true_tx", "est_tx", "true_rx", "est_rx"):
+            getattr(diverged, name)[n_fine - 500 :] = np.nan
+        for name in ("tracked_loss", "oneshot_loss", "prediction_gain"):
+            getattr(diverged, name)[n_fine - 500 :] = np.nan
+        records[0].est_tx[_EMIT_STEPS - 5 : _EMIT_STEPS + 60] = -0.0
+        records[2].tracked_loss[7] = 0.0  # -inf dB
+
+        cfg = CliConfig(
+            output_dir=str(tmp_path), formats=("csv",), arms=("tracked", "predicted")
+        )
+        assert _emit(cfg, records) == ["paths.csv", "esnr.csv"]
+        assert not (tmp_path / "summary.json").exists()
+
+        def whole_file(columns, table, fmt):
+            text = io.StringIO()
+            text.write("# beamtrack-csv v1\n" + ",".join(columns) + "\n")
+            np.savetxt(text, table, fmt=fmt, delimiter=",")
+            return text.getvalue().encode()
+
+        paths = np.vstack(
+            [
+                np.column_stack(
+                    [
+                        np.full(n_fine * L, run),
+                        np.repeat(rec.times, L),
+                        np.tile(np.arange(L), n_fine),
+                        rec.true_tx.ravel(),
+                        rec.est_tx.ravel(),
+                        rec.true_rx.ravel(),
+                        rec.est_rx.ravel(),
+                    ]
+                )
+                for run, rec in enumerate(records)
+            ]
+        )
+        columns = ["run", "t_s", "path", "true_aod_v", "est_aod_v"]
+        columns += ["true_aoa_v", "est_aoa_v"]
+        fmt = ["%d", "%.10e", "%d"] + ["%.10e"] * 4
+        assert (tmp_path / "paths.csv").read_bytes() == whole_file(columns, paths, fmt)
+
+        with np.errstate(divide="ignore"):
+            esnr = np.vstack(
+                [
+                    np.column_stack(
+                        [
+                            np.full(n_fine, run),
+                            rec.times,
+                            10.0 * np.log10(rec.tracked_loss),
+                            10.0 * np.log10(rec.prediction_gain),
+                        ]
+                    )
+                    for run, rec in enumerate(records)
+                ]
+            )
+        assert np.isneginf(esnr).sum() == 1
+        columns = ["run", "t_s", "loss_tracked_db", "pred_gain_db"]
+        fmt = ["%d"] + ["%.10e"] * 3
+        assert (tmp_path / "esnr.csv").read_bytes() == whole_file(columns, esnr, fmt)
+
+    def test_peak_memory_does_not_grow_with_batch(self, tmp_path):
+        # Traced allocations only: the records exist before tracing starts,
+        # and a first untraced call settles one-time costs such as imports.
+        small, large = synthetic_records(2, 2000, 4), synthetic_records(16, 2000, 4)
+        (tmp_path / "warm").mkdir()
+        _emit(CliConfig(output_dir=str(tmp_path / "warm")), small)
+        peaks = []
+        for name, records in (("small", small), ("large", large)):
+            (tmp_path / name).mkdir()
+            tracemalloc.start()
+            try:
+                _emit(CliConfig(output_dir=str(tmp_path / name)), records)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestSelftestCommand:

@@ -7,8 +7,8 @@ interleaves sounding/updating at 0.1 ms with fine-grained metrics at 1 us.
 
 Each path either stays locked or is lost, and the per-run numbers below show
 both.  At seed 0, all eight runs beat one-shot estimation; the across-run
-median loss is -0.70 dB tracked against -13.81 dB one-shot, and the median
-prediction-gain ratio is 1.000016.  Six of the eight runs keep
+median loss is -0.77 dB tracked against -13.81 dB one-shot, and the median
+prediction-gain ratio is 1.000090.  Six of the eight runs keep
 their median position error under the initial spread.  The other two have at least one
 lost path.  Most lost paths start further off than the recursive
 measurement update can bridge (about 1.5 beamwidths) and are never found.
@@ -17,7 +17,7 @@ is still unknown: the gain estimate decays towards zero and the position
 drifts with the wrong velocity.  The README gives the batch-level numbers
 and how they move with the seed.
 
-Runtime: 6-9 s at 8 runs on two CPUs.  The `beamtrack simulate` CLI
+Runtime: about 3 s at 8 runs on two CPUs.  The `beamtrack simulate` CLI
 writes the same metrics for any run count to CSV/JSON for external plotting.
 """
 

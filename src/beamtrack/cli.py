@@ -41,7 +41,7 @@ from .channel import ChannelState
 from .dynamics import DynamicsModel, build_transition
 from .errors import BadConfig, BeamtrackError, EmptyInput
 from .numerics import KroneckerFactorDims
-from .simulate import RunRecord, ScenarioConfig, run_many
+from .simulate import RunRecord, ScenarioConfig, median_and_quantiles, run_many
 from .sounding import Observation, build_plan
 from .tracker import (
     SigmaSet,
@@ -274,12 +274,11 @@ def _arm_summary(records: list, arms: tuple, quantiles: tuple) -> dict:
     out = {}
     for arm in arms:
         pool = np.concatenate([getattr(r, _ARM_COLUMNS[arm][1]) for r in clean])
+        median, levels = median_and_quantiles(pool[~np.isnan(pool)], quantiles)
         key = "median_gain_db" if arm == "predicted" else "median_loss_db"
         out[arm] = {
-            key: float(_db(np.nanmedian(pool))),
-            "quantiles_db": {
-                str(q): float(_db(np.nanquantile(pool, q))) for q in quantiles
-            },
+            key: float(_db(median)),
+            "quantiles_db": {str(q): float(_db(v)) for q, v in zip(quantiles, levels)},
         }
     return out
 

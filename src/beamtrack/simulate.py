@@ -31,9 +31,7 @@ the one-shot arm, so no arm perturbs another.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
@@ -554,22 +552,56 @@ def run_many(cfg: ScenarioConfig, max_workers: int | None = None) -> list[RunRec
     indices = range(cfg.num_runs)
     if workers == 1:
         return [run_frame(cfg, i) for i in indices]
+    # Imported here so that in-process runs never load the pool's modules.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with _single_threaded_blas_env(), ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("spawn")
     ) as pool:
         return list(pool.map(partial(run_frame, cfg), indices))
 
 
+def median_and_quantiles(values: np.ndarray, levels) -> tuple[np.ndarray, list]:
+    """``np.median`` and ``np.quantile`` at each level, along axis 0 of NaN-free values.
+
+    Both come from one sort, with numpy's own formulas: the median is the
+    mean of the middle one or two order statistics, and a quantile is the
+    default linear method's interpolation at the virtual index (n - 1) q.
+    So the bits are numpy's, up to the sign of a zero that ties with zeros
+    of the other sign (sort and partition may order those differently).
+    numpy's ``median`` and ``quantile`` themselves import ``numpy.ma`` for a
+    masked-array check, about 1.3 MB that an in-process run otherwise never
+    loads.
+    """
+    s = np.sort(values, axis=0)
+    n = s.shape[0]
+    median = s[(n - 1) // 2 : n // 2 + 1].mean(axis=0)
+    quantiles = []
+    for q in levels:
+        h = (n - 1) * q
+        if h < n - 1:
+            lo = math.floor(h)
+            hi = lo + 1
+        else:  # numpy's convention: the last value, and t computed from index -1
+            lo = hi = -1
+        t = h - lo
+        diff = s[hi] - s[lo]
+        quantiles.append(s[hi] - diff * (1 - t) if t >= 0.5 else s[lo] + diff * t)
+    return median, quantiles
+
+
 def _quantiles(stack: np.ndarray) -> dict:
-    return {
-        "median": np.nanmedian(stack, axis=0),
-        "q25": np.nanquantile(stack, 0.25, axis=0),
-        "q75": np.nanquantile(stack, 0.75, axis=0),
-    }
+    median, (q25, q75) = median_and_quantiles(stack, (0.25, 0.75))
+    return {"median": median, "q25": q25, "q75": q75}
 
 
 def aggregate_runs(records: list[RunRecord]) -> FrameSummary:
-    """Pointwise across-run quantiles of every metric, excluding diverged runs."""
+    """Pointwise across-run quantiles of every metric, excluding diverged runs.
+
+    The stacks it reduces are NaN-free: NaN marks only the unfilled tail of
+    a diverged run, and a run that finishes fills every field.
+    """
     if not records:
         raise EmptyInput("no run records to aggregate")
     clean = [r for r in records if not r.diverged]

@@ -1,38 +1,62 @@
-"""The package runs on numpy alone.
+"""An in-process run loads only what it runs: numpy alone, and no pool modules.
 
 numpy and scipy each ship their own BLAS with its own thread pool, and the
 tracker's small products ran many times slower when calls alternated between
 the two.  Importing scipy also costs most of the package's import time, which
 every spawned batch worker pays again.
+
+Modules a run never calls still cost start-up time and resident memory.  Only
+a batch that spawns workers needs ``multiprocessing`` and
+``concurrent.futures``, and the summaries avoid numpy's ``median`` and
+``quantile``, which import ``numpy.ma``.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import beamtrack
 
 _SCRIPT = """
+import json
 import sys
-import beamtrack
-import beamtrack.cli
-from beamtrack.simulate import ScenarioConfig, run_frame
+import tempfile
 
-cfg = ScenarioConfig(L=1, M_T=4, M_R=4, N_T=2, N_R=2, frame_length=3e-4,
-                     fine_step=1e-4, num_runs=1, seed=7)
-record = run_frame(cfg, 0)
-assert not record.diverged
-print(",".join(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+import beamtrack
+from beamtrack.cli import cmd_simulate
+from beamtrack.simulate import ScenarioConfig, aggregate_runs, run_many
+
+tiny = dict(L=1, M_T=4, M_R=4, N_T=2, N_R=2, frame_length=3e-4, fine_step=1e-4,
+            num_runs=2, seed=7)
+with tempfile.TemporaryDirectory() as out:
+    overrides = [f"{key}={value}" for key, value in tiny.items()]
+    assert cmd_simulate(None, overrides + [f"output_dir={out}"]) == 0
+summary = aggregate_runs(run_many(ScenarioConfig(**tiny)))
+assert summary.num_diverged == 0
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_import_and_run_load_no_scipy():
-    env = dict(os.environ)
+@pytest.fixture(scope="module")
+def loaded_modules():
+    """Modules loaded by an in-process `simulate` call and one `aggregate_runs`."""
+    env = dict(os.environ, BEAMTRACK_THREADS="1")
     src = str(Path(beamtrack.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _SCRIPT], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert proc.stdout.strip() == ""
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "family", ["scipy", "multiprocessing", "concurrent.futures", "numpy.ma"]
+)
+def test_in_process_run_loads_no(loaded_modules, family):
+    loaded = [m for m in loaded_modules if m == family or m.startswith(family + ".")]
+    assert loaded == []

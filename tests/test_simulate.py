@@ -36,6 +36,7 @@ from beamtrack.simulate import (
     _spectral_gains,
     aggregate_runs,
     generate_scenario,
+    median_and_quantiles,
     run_frame,
     run_many,
     snr_loss_ratio,
@@ -664,3 +665,57 @@ class TestAggregateRuns:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             aggregate_runs([])
+
+    def test_quantiles_equal_nan_reductions_bit_for_bit(self):
+        recs = run_many(small_config(num_runs=4), max_workers=1)
+        summary = aggregate_runs(recs)
+
+        def stack(attr):
+            return np.stack([getattr(r, attr) for r in recs])
+
+        def pooled(side):
+            err = np.abs(stack(f"est_{side}") - stack(f"true_{side}"))
+            return err.transpose(0, 2, 1).reshape(-1, err.shape[1])
+
+        stacks = {
+            "tracked_loss": stack("tracked_loss"),
+            "oneshot_loss": stack("oneshot_loss"),
+            "prediction_gain": stack("prediction_gain"),
+            "aod_error": pooled("tx"),
+            "aoa_error": pooled("rx"),
+            "trace_wr": stack("trace_wr"),
+            "innovation_norm": stack("innovation_norms"),
+        }
+        for name, values in stacks.items():
+            assert not np.isnan(values).any(), name
+            expected = {
+                "median": np.nanmedian(values, axis=0),
+                "q25": np.nanquantile(values, 0.25, axis=0),
+                "q75": np.nanquantile(values, 0.75, axis=0),
+            }
+            got = getattr(summary, name)
+            for key, reference in expected.items():
+                assert got[key].tobytes() == reference.tobytes(), (name, key)
+
+
+class TestMedianAndQuantiles:
+    LEVELS = (0.01, 0.25, 1 / 3, 0.5, 0.75, 0.9, 1 - 2**-53)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 600, 601])
+    def test_equal_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        distinct = rng.standard_normal(n)
+        ties = np.round(rng.standard_normal((n, 5)), 1) + 0.0  # + 0.0: no -0.0
+        for values in (distinct, ties):
+            median, quantiles = median_and_quantiles(values, self.LEVELS)
+            assert median.tobytes() == np.median(values, axis=0).tobytes()
+            for q, got in zip(self.LEVELS, quantiles):
+                expected = np.quantile(values, q, axis=0)
+                assert np.asarray(got).tobytes() == expected.tobytes(), q
+
+    def test_single_negative_zero_keeps_numpys_sign(self):
+        values = np.array([-0.0])
+        median, quantiles = median_and_quantiles(values, self.LEVELS)
+        got = np.signbit([median, *quantiles])
+        expected = np.signbit([np.median(values), *np.quantile(values, self.LEVELS)])
+        np.testing.assert_array_equal(got, expected)

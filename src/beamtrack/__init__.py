@@ -22,7 +22,8 @@ Layers, bottom up:
   predict/update cycle.
 * :mod:`beamtrack.beams` — posterior-statistics-driven sounding-beam design
   with Kronecker factor recovery, plus non-adaptive baselines.
-* :mod:`beamtrack.simulate` — Monte Carlo frames, metric arms, aggregation.
+* :mod:`beamtrack.simulate` — Monte Carlo frames, metric arms, and the
+  pooled per-arm summary of a batch.
 * :mod:`beamtrack.cli` — `beamtrack simulate` / `beamtrack selftest`.
 """
 
@@ -56,7 +57,6 @@ from .numerics import (
     matrix_sqrt_psd,
 )
 from .simulate import (
-    FrameSummary,
     RunRecord,
     ScenarioConfig,
     aggregate_runs,
@@ -95,7 +95,6 @@ __all__ = [
     "ChannelState",
     "ChannelStats",
     "DynamicsModel",
-    "FrameSummary",
     "KroneckerFactorDims",
     "Observation",
     "RunRecord",

@@ -39,9 +39,9 @@ import numpy as np
 from .beams import baseline_beams, kronecker_beams
 from .channel import ChannelState
 from .dynamics import DynamicsModel, build_transition
-from .errors import BadConfig, BeamtrackError, EmptyInput
+from .errors import BadConfig, BeamtrackError
 from .numerics import KroneckerFactorDims
-from .simulate import RunRecord, ScenarioConfig, median_and_quantiles, run_many
+from .simulate import RunRecord, ScenarioConfig, aggregate_runs, run_many
 from .sounding import Observation, build_plan
 from .tracker import (
     SigmaSet,
@@ -143,7 +143,7 @@ def read_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BadConfig(f"cannot read config file {path}: {exc}") from exc
     pairs = {}
     for num, raw in enumerate(lines, start=1):
@@ -269,24 +269,21 @@ def _esnr_blocks(records: list, names: list) -> Iterator[np.ndarray]:
         )
 
 
-def _arm_summary(records: list, arms: tuple, quantiles: tuple) -> dict:
-    clean = [r for r in records if not r.diverged]
-    out = {}
-    for arm in arms:
-        pool = np.concatenate([getattr(r, _ARM_COLUMNS[arm][1]) for r in clean])
-        median, levels = median_and_quantiles(pool[~np.isnan(pool)], quantiles)
+def _write_summary(path: str, cfg: CliConfig, summary: dict) -> None:
+    """Writes the config and the ``aggregate_runs`` summary of cfg.arms, in dB."""
+    arms = {}
+    for arm in cfg.arms:
+        stats = summary[_ARM_COLUMNS[arm][1]]
         key = "median_gain_db" if arm == "predicted" else "median_loss_db"
-        out[arm] = {
-            key: float(_db(median)),
-            "quantiles_db": {str(q): float(_db(v)) for q, v in zip(quantiles, levels)},
+        arms[arm] = {
+            key: float(_db(stats["median"])),
+            "quantiles_db": {
+                str(q): float(_db(v)) for q, v in zip(cfg.quantiles, stats["quantiles"])
+            },
         }
-    return out
-
-
-def _write_summary(path: str, cfg: CliConfig, records: list) -> None:
     scenario = dataclasses.asdict(cfg.scenario)
     scenario["q_upsilon"] = list(cfg.scenario.q_upsilon)
-    summary = {
+    document = {
         "schema": "beamtrack-summary v1",
         "config": {
             **scenario,
@@ -295,18 +292,20 @@ def _write_summary(path: str, cfg: CliConfig, records: list) -> None:
             "arms": list(cfg.arms),
             "quantiles": list(cfg.quantiles),
         },
-        "num_runs": len(records),
-        "num_diverged": sum(r.diverged for r in records),
-        "seeds": [[cfg.scenario.seed, i] for i in range(len(records))],
-        "arms": _arm_summary(records, cfg.arms, cfg.quantiles),
+        "num_runs": summary["num_runs"],
+        "num_diverged": summary["num_diverged"],
+        "seeds": [[cfg.scenario.seed, i] for i in range(summary["num_runs"])],
+        "arms": arms,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _emit(cfg: CliConfig, records: list) -> list:
+def _emit(cfg: CliConfig, records: list, summary: dict) -> list:
     """Writes the selected result files; returns their names.
+
+    ``summary`` is ``aggregate_runs`` of the records at cfg.quantiles.
 
     The CSVs are streamed: each run's rows are formatted and written one
     block of ``_EMIT_STEPS`` fine steps at a time, in run order, so no table
@@ -333,7 +332,7 @@ def _emit(cfg: CliConfig, records: list) -> list:
         )
         written.append("esnr.csv")
     if "json" in cfg.formats:
-        _write_summary(os.path.join(cfg.output_dir, "summary.json"), cfg, records)
+        _write_summary(os.path.join(cfg.output_dir, "summary.json"), cfg, summary)
         written.append("summary.json")
     return written
 
@@ -354,10 +353,8 @@ def cmd_simulate(config_path: str | None = None, overrides=()) -> int:
     start = time.perf_counter()
     try:
         records = run_many(cfg.scenario)
-        diverged = sum(r.diverged for r in records)
-        if diverged == len(records):
-            raise EmptyInput(f"all {len(records)} runs diverged")
-        written = _emit(cfg, records)
+        summary = aggregate_runs(records, cfg.quantiles)  # EmptyInput if all diverged
+        written = _emit(cfg, records, summary)
     except (BeamtrackError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
@@ -365,7 +362,7 @@ def cmd_simulate(config_path: str | None = None, overrides=()) -> int:
     listing = ", ".join(written) if written else "no files (empty formats)"
     print(
         f"wrote {listing} in {cfg.output_dir} "
-        f"({len(records)} runs, {diverged} diverged, {elapsed:.1f}s)"
+        f"({len(records)} runs, {summary['num_diverged']} diverged, {elapsed:.1f}s)"
     )
     return 0
 

@@ -26,6 +26,10 @@ Runs are reproducible and order-independent: run ``i`` of a config seeds all
 of its randomness from ``SeedSequence([seed, i])``, with separate child
 streams for the scenario draw, the process noise, the observation noise, and
 the one-shot arm, so no arm perturbs another.
+
+A batch's records have one reduction, ``aggregate_runs``: each arm's median
+and quantiles pooled over the fine steps of the runs that did not diverge.
+``summary.json`` writes it in dB.
 """
 
 from __future__ import annotations
@@ -227,23 +231,6 @@ class RunRecord:
     trace_wr: np.ndarray
     innovation_norms: np.ndarray
     diverged: bool = False
-
-
-@dataclass
-class FrameSummary:
-    """Across-run quantiles of the per-time metrics."""
-
-    times: np.ndarray
-    obs_times: np.ndarray
-    tracked_loss: dict
-    oneshot_loss: dict
-    prediction_gain: dict
-    aod_error: dict
-    aoa_error: dict
-    trace_wr: dict
-    innovation_norm: dict
-    num_runs: int = 0
-    num_diverged: int = 0
 
 
 def generate_scenario(
@@ -591,41 +578,23 @@ def median_and_quantiles(values: np.ndarray, levels) -> tuple[np.ndarray, list]:
     return median, quantiles
 
 
-def _quantiles(stack: np.ndarray) -> dict:
-    median, (q25, q75) = median_and_quantiles(stack, (0.25, 0.75))
-    return {"median": median, "q25": q25, "q75": q75}
+def aggregate_runs(records: list[RunRecord], levels) -> dict:
+    """Each metric arm's median and quantiles, pooled over the clean runs.
 
-
-def aggregate_runs(records: list[RunRecord]) -> FrameSummary:
-    """Pointwise across-run quantiles of every metric, excluding diverged runs.
-
-    The stacks it reduces are NaN-free: NaN marks only the unfilled tail of
-    a diverged run, and a run that finishes fills every field.
+    Returns ``{"num_runs": n, "num_diverged": d}`` plus, for each arm field
+    of RunRecord (``tracked_loss``, ``oneshot_loss``, ``prediction_gain``),
+    ``{"median": m, "quantiles": [one value per level]}`` in linear units.
+    A diverged run is left out.  Each arm's values of the clean runs are
+    concatenated over runs and fine steps, and any NaN among them is dropped.
     """
     if not records:
         raise EmptyInput("no run records to aggregate")
     clean = [r for r in records if not r.diverged]
     if not clean:
         raise EmptyInput(f"all {len(records)} runs diverged")
-
-    def stack(attr):
-        return np.stack([getattr(r, attr) for r in clean])
-
-    aod = np.abs(stack("est_tx") - stack("true_tx"))  # (runs, time, path)
-    aoa = np.abs(stack("est_rx") - stack("true_rx"))
-    pooled_aod = aod.transpose(0, 2, 1).reshape(-1, aod.shape[1])
-    pooled_aoa = aoa.transpose(0, 2, 1).reshape(-1, aoa.shape[1])
-
-    return FrameSummary(
-        times=clean[0].times,
-        obs_times=clean[0].obs_times,
-        tracked_loss=_quantiles(stack("tracked_loss")),
-        oneshot_loss=_quantiles(stack("oneshot_loss")),
-        prediction_gain=_quantiles(stack("prediction_gain")),
-        aod_error=_quantiles(pooled_aod),
-        aoa_error=_quantiles(pooled_aoa),
-        trace_wr=_quantiles(stack("trace_wr")),
-        innovation_norm=_quantiles(stack("innovation_norms")),
-        num_runs=len(records),
-        num_diverged=len(records) - len(clean),
-    )
+    summary = {"num_runs": len(records), "num_diverged": len(records) - len(clean)}
+    for name in ("tracked_loss", "oneshot_loss", "prediction_gain"):
+        pool = np.concatenate([getattr(r, name) for r in clean])
+        median, quantiles = median_and_quantiles(pool[~np.isnan(pool)], levels)
+        summary[name] = {"median": float(median), "quantiles": [float(q) for q in quantiles]}
+    return summary

@@ -46,10 +46,6 @@ class SoundingPlan:
     Z: np.ndarray
 
     @property
-    def num_soundings(self) -> int:
-        return self.F.shape[1] * self.Z.shape[1]
-
-    @property
     def G(self) -> np.ndarray:
         """Complex observation operator F.T kron Z.conj().T, formed densely."""
         return np.kron(self.F.T, self.Z.conj().T)

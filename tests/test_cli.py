@@ -20,7 +20,7 @@ from beamtrack.cli import (
     main,
 )
 from beamtrack.errors import BadConfig
-from beamtrack.simulate import RunRecord, ScenarioConfig, run_frame
+from beamtrack.simulate import RunRecord, ScenarioConfig, aggregate_runs, run_frame
 
 SMALL = [
     "L=1",
@@ -189,14 +189,17 @@ class TestSimulateCommand:
         assert summary["config"]["first_N_T"] is None
         assert summary["seeds"] == [[7, 0], [7, 1]]
 
-    def test_missing_config_file_exits_1_with_no_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [None, b"L=2\n\xff\n"], ids=["absent", "not-utf8"])
+    def test_unreadable_config_file_exits_1_with_no_output(self, tmp_path, capsys, content):
+        config = tmp_path / "run.cfg"
+        if content is not None:
+            config.write_bytes(content)
         out = tmp_path / "results"
-        code = cmd_simulate(
-            str(tmp_path / "absent.cfg"), [f"output_dir={out}"]
-        )
+        code = cmd_simulate(str(config), [f"output_dir={out}"])
         assert code == 1
         assert not out.exists()
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and err.count("\n") == 1
 
     def test_bad_override_exits_1(self, tmp_path, capsys):
         assert cmd_simulate(None, small_overrides(tmp_path, "L=zero")) == 1
@@ -329,7 +332,8 @@ class TestStreamedEmission:
         cfg = CliConfig(
             output_dir=str(tmp_path), formats=("csv",), arms=("tracked", "predicted")
         )
-        assert _emit(cfg, records) == ["paths.csv", "esnr.csv"]
+        summary = aggregate_runs(records, cfg.quantiles)
+        assert _emit(cfg, records, summary) == ["paths.csv", "esnr.csv"]
         assert not (tmp_path / "summary.json").exists()
 
         def whole_file(columns, table, fmt):
@@ -379,17 +383,21 @@ class TestStreamedEmission:
         assert (tmp_path / "esnr.csv").read_bytes() == whole_file(columns, esnr, fmt)
 
     def test_peak_memory_does_not_grow_with_batch(self, tmp_path):
-        # Traced allocations only: the records exist before tracing starts,
-        # and a first untraced call settles one-time costs such as imports.
+        # Traced allocations only: the records and their summary exist before
+        # tracing starts, and a first untraced call settles one-time costs
+        # such as imports.
         small, large = synthetic_records(2, 2000, 4), synthetic_records(16, 2000, 4)
         (tmp_path / "warm").mkdir()
-        _emit(CliConfig(output_dir=str(tmp_path / "warm")), small)
+        warm = CliConfig(output_dir=str(tmp_path / "warm"))
+        _emit(warm, small, aggregate_runs(small, warm.quantiles))
         peaks = []
         for name, records in (("small", small), ("large", large)):
             (tmp_path / name).mkdir()
+            cfg = CliConfig(output_dir=str(tmp_path / name))
+            summary = aggregate_runs(records, cfg.quantiles)
             tracemalloc.start()
             try:
-                _emit(CliConfig(output_dir=str(tmp_path / name)), records)
+                _emit(cfg, records, summary)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

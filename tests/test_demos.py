@@ -1,7 +1,7 @@
 """The quick demos run to completion.
 
 Each demo is a script run in its own interpreter, as a reader would run it.
-Demos 02 and 06 take several seconds each and are left out.
+Demo 06, which spawns the worker pool and takes several seconds, is left out.
 """
 
 import os
@@ -20,6 +20,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "script",
     [
         "01_array_geometry_and_steering.py",
+        "02_fading_and_motion.py",
         "03_sounding_identities.py",
         "04_tracking_a_known_channel.py",
         "05_adaptive_beam_design.py",

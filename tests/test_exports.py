@@ -1,8 +1,7 @@
 """Names the package promises resolve: its ``__all__`` and the demos' imports.
 
 The demos' imports are read with ``ast``, without running the scripts, so
-demos 02 and 06, which ``test_demos.py`` leaves out for their run time, are
-checked too.
+demo 06, which ``test_demos.py`` leaves out for its run time, is checked too.
 """
 
 import ast

@@ -627,75 +627,42 @@ class TestRunMany:
 
 
 class TestAggregateRuns:
-    def test_single_record_passthrough(self):
-        rec = run_frame(small_config(), 0)
-        summary = aggregate_runs([rec])
-        np.testing.assert_array_equal(summary.tracked_loss["median"], rec.tracked_loss)
-        np.testing.assert_array_equal(summary.trace_wr["median"], rec.trace_wr)
-        assert summary.num_runs == 1
-        assert summary.num_diverged == 0
-
-    def test_two_records_median_is_midpoint(self):
-        cfg = small_config()
-        a, b = run_frame(cfg, 0), run_frame(cfg, 1)
-        summary = aggregate_runs([a, b])
-        np.testing.assert_allclose(
-            summary.tracked_loss["median"],
-            (a.tracked_loss + b.tracked_loss) / 2.0,
-            atol=1e-15,
-        )
+    LEVELS = (0.1, 0.25, 0.75)
+    ARMS = ("tracked_loss", "oneshot_loss", "prediction_gain")
 
     def test_permutation_invariant(self):
-        cfg = small_config(num_runs=4)
-        recs = run_many(cfg, max_workers=1)
-        fwd = aggregate_runs(recs)
-        rev = aggregate_runs(recs[::-1])
-        np.testing.assert_array_equal(
-            fwd.oneshot_loss["median"], rev.oneshot_loss["median"]
-        )
-        np.testing.assert_array_equal(fwd.aod_error["q75"], rev.aod_error["q75"])
+        recs = run_many(small_config(num_runs=4), max_workers=1)
+        assert aggregate_runs(recs, self.LEVELS) == aggregate_runs(recs[::-1], self.LEVELS)
 
     def test_diverged_runs_excluded(self):
         good = run_frame(small_config(), 0)
         bad = run_frame(small_config(q_upsilon=(1e30, 1e30)), 0)
-        summary = aggregate_runs([good, bad])
-        assert summary.num_diverged == 1
-        np.testing.assert_array_equal(summary.tracked_loss["median"], good.tracked_loss)
+        assert bad.diverged
+        summary = aggregate_runs([good, bad], self.LEVELS)
+        assert (summary["num_runs"], summary["num_diverged"]) == (2, 1)
+        alone = aggregate_runs([good], self.LEVELS)
+        for arm in self.ARMS:
+            assert summary[arm] == alone[arm], arm
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            aggregate_runs([])
+            aggregate_runs([], self.LEVELS)
+        bad = run_frame(small_config(q_upsilon=(1e30, 1e30)), 0)
+        with pytest.raises(EmptyInput, match="all 2 runs diverged"):
+            aggregate_runs([bad, bad], self.LEVELS)
 
     def test_quantiles_equal_nan_reductions_bit_for_bit(self):
         recs = run_many(small_config(num_runs=4), max_workers=1)
-        summary = aggregate_runs(recs)
-
-        def stack(attr):
-            return np.stack([getattr(r, attr) for r in recs])
-
-        def pooled(side):
-            err = np.abs(stack(f"est_{side}") - stack(f"true_{side}"))
-            return err.transpose(0, 2, 1).reshape(-1, err.shape[1])
-
-        stacks = {
-            "tracked_loss": stack("tracked_loss"),
-            "oneshot_loss": stack("oneshot_loss"),
-            "prediction_gain": stack("prediction_gain"),
-            "aod_error": pooled("tx"),
-            "aoa_error": pooled("rx"),
-            "trace_wr": stack("trace_wr"),
-            "innovation_norm": stack("innovation_norms"),
-        }
-        for name, values in stacks.items():
-            assert not np.isnan(values).any(), name
-            expected = {
-                "median": np.nanmedian(values, axis=0),
-                "q25": np.nanquantile(values, 0.25, axis=0),
-                "q75": np.nanquantile(values, 0.75, axis=0),
-            }
-            got = getattr(summary, name)
-            for key, reference in expected.items():
-                assert got[key].tobytes() == reference.tobytes(), (name, key)
+        recs[2].tracked_loss[3] = np.nan  # a NaN is dropped from its arm's pool
+        summary = aggregate_runs(recs, self.LEVELS)
+        assert (summary["num_runs"], summary["num_diverged"]) == (4, 0)
+        for arm in self.ARMS:
+            pool = np.concatenate([getattr(r, arm) for r in recs])
+            got = summary[arm]
+            assert np.float64(got["median"]).tobytes() == np.nanmedian(pool).tobytes(), arm
+            for q, value in zip(self.LEVELS, got["quantiles"], strict=True):
+                expected = np.nanquantile(pool, q)
+                assert np.float64(value).tobytes() == expected.tobytes(), (arm, q)
 
 
 class TestMedianAndQuantiles:

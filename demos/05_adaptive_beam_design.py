@@ -12,9 +12,7 @@ prior), the comparison below is deterministic given the prior.
 import numpy as np
 
 from beamtrack import (
-    Observation,
     ScenarioConfig,
-    TrackerState,
     UkfParams,
     baseline_beams,
     build_plan,
@@ -34,8 +32,7 @@ channel_fn = make_channel_fn(cfg.L, tx, rx)
 params = UkfParams()
 
 rng = np.random.default_rng(np.random.SeedSequence([17, 0]))
-truth, estimate, R0 = generate_scenario(cfg, rng)
-prior = TrackerState(x_hat=estimate, R=R0)
+truth, prior = generate_scenario(cfg, rng)
 sigma = sigma_points(prior.x_hat.x, prior.R, params)
 stats = channel_statistics(sigma, channel_fn)
 h_true = channel_fn(truth.x[None])[0]
@@ -66,8 +63,7 @@ wins = 0
 trials = 25
 for i in range(trials):
     rng = np.random.default_rng(np.random.SeedSequence([17, i + 1]))
-    truth, estimate, R0 = generate_scenario(cfg, rng)
-    prior = TrackerState(x_hat=estimate, R=R0)
+    truth, prior = generate_scenario(cfg, rng)
     sigma = sigma_points(prior.x_hat.x, prior.R, params)
     stats = channel_statistics(sigma, channel_fn)
     h_true = channel_fn(truth.x[None])[0]

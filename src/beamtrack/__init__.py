@@ -64,6 +64,7 @@ from .simulate import (
     run_frame,
     run_many,
     snr_loss_ratio,
+    sound,
 )
 from .sounding import (
     Observation,
@@ -129,6 +130,7 @@ __all__ = [
     "run_many",
     "sigma_points",
     "snr_loss_ratio",
+    "sound",
     "steering_vector",
     "update",
     "virtual_to_spatial",

@@ -55,7 +55,6 @@ from .tracker import (
 CSV_SCHEMA = "# beamtrack-csv v1"
 ARMS = ("tracked", "one_shot", "predicted")
 OUTPUT_FORMATS = ("csv", "json")
-_CLI_KEYS = ("output_dir", "formats", "arms", "quantiles")
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,10 @@ class CliConfig:
     def __post_init__(self):
         if not self.arms:
             raise BadConfig("at least one arm must be selected")
+        for name in ("formats", "arms", "quantiles"):
+            entries = getattr(self, name)
+            if len(set(entries)) < len(entries):
+                raise BadConfig(f"{name} lists an entry more than once: {entries}")
         for arm in self.arms:
             if arm not in ARMS:
                 raise BadConfig(f"unknown arm {arm!r}; choose from {ARMS}")
@@ -95,40 +98,44 @@ class CliConfig:
 
 # --- config file parsing -------------------------------------------------
 
-_SCENARIO_FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
-_SCENARIO_DEFAULTS = ScenarioConfig()
+_SCENARIO_DEFAULTS = vars(ScenarioConfig())
+# Every config key's default; the key's text converts to the default's type.
+_DEFAULTS = {**vars(CliConfig()), **_SCENARIO_DEFAULTS}
+del _DEFAULTS["scenario"]
 
 
 def _split_csv(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _convert_scenario_value(name: str, text: str):
-    """Converts one raw config string to the type of a ScenarioConfig field."""
-    default = getattr(_SCENARIO_DEFAULTS, name)
+def _kind(value):
+    """int, float or str, whichever value is an instance of; None otherwise."""
+    if not isinstance(value, bool):
+        for kind in (int, float, str):
+            if isinstance(value, kind):
+                return kind
+    return None
+
+
+def _convert_value(name: str, text: str):
+    """Converts one raw config string to the type of its key's default.
+
+    The kinds are optional int (a None default), int, float, str, and tuples
+    of float or of str.  Any other kind is rejected rather than guessed at:
+    ``bool("false")`` is True.
+    """
+    default = _DEFAULTS[name]
     try:
         if default is None:  # optional int (first-period beam counts)
             return None if text.strip().lower() in ("", "none") else int(text)
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
-        if isinstance(default, tuple):
-            return tuple(float(part) for part in _split_csv(text))
+        kind = _kind(default)
+        if kind is not None:
+            return kind(text.strip())
+        if isinstance(default, tuple) and {_kind(d) for d in default} in ({float}, {str}):
+            return tuple(_kind(default[0])(part) for part in _split_csv(text))
     except ValueError as exc:
         raise BadConfig(f"invalid value for {name}: {text!r}") from exc
     raise BadConfig(f"config key {name} is not settable from text")
-
-
-def _convert_cli_value(name: str, text: str):
-    if name == "output_dir":
-        return text.strip()
-    if name in ("formats", "arms"):
-        return tuple(_split_csv(text))
-    try:
-        return tuple(float(part) for part in _split_csv(text))  # quantiles
-    except ValueError as exc:
-        raise BadConfig(f"invalid value for {name}: {text!r}") from exc
 
 
 def _parse_kv(item: str, source: str) -> tuple[str, str]:
@@ -159,12 +166,10 @@ def build_cli_config(pairs: dict) -> CliConfig:
     """Typed CliConfig from raw key=value string pairs; unknown keys reject."""
     scenario_kwargs, cli_kwargs = {}, {}
     for key, value in pairs.items():
-        if key in _SCENARIO_FIELDS:
-            scenario_kwargs[key] = _convert_scenario_value(key, value)
-        elif key in _CLI_KEYS:
-            cli_kwargs[key] = _convert_cli_value(key, value)
-        else:
+        if key not in _DEFAULTS:
             raise BadConfig(f"unknown config key: {key}")
+        kwargs = scenario_kwargs if key in _SCENARIO_DEFAULTS else cli_kwargs
+        kwargs[key] = _convert_value(key, value)
     return CliConfig(scenario=ScenarioConfig(**scenario_kwargs), **cli_kwargs)
 
 
@@ -281,17 +286,11 @@ def _write_summary(path: str, cfg: CliConfig, summary: dict) -> None:
                 str(q): float(_db(v)) for q, v in zip(cfg.quantiles, stats["quantiles"])
             },
         }
-    scenario = dataclasses.asdict(cfg.scenario)
-    scenario["q_upsilon"] = list(cfg.scenario.q_upsilon)
+    config = dataclasses.asdict(cfg)
+    config.update(config.pop("scenario"))
     document = {
         "schema": "beamtrack-summary v1",
-        "config": {
-            **scenario,
-            "output_dir": cfg.output_dir,
-            "formats": list(cfg.formats),
-            "arms": list(cfg.arms),
-            "quantiles": list(cfg.quantiles),
-        },
+        "config": config,
         "num_runs": summary["num_runs"],
         "num_diverged": summary["num_diverged"],
         "seeds": [[cfg.scenario.seed, i] for i in range(summary["num_runs"])],

@@ -2,12 +2,12 @@
 
 One simulated frame interleaves two time scales.  The true channel state
 advances every ``fine_step`` seconds; once per coherence period ``T_S`` the
-tracker predicts, designs sounding beams from its prior statistics, observes
-the channel through them, and updates.  Between soundings, metrics are
-evaluated on the fine grid for three arms sharing the same truth: the tracked
-estimate held fixed, the tracked estimate forward-predicted to the current
-instant, and an unfiltered one-shot estimate redrawn each period with the
-same statistics as the initializer.
+tracker predicts, and ``sound`` designs sounding beams from its prior
+statistics, observes the channel through them, and updates.  Between
+soundings, metrics are evaluated on the fine grid for three arms sharing the
+same truth: the tracked estimate held fixed, the tracked estimate
+forward-predicted to the current instant, and an unfiltered one-shot
+estimate redrawn each period with the same statistics as the initializer.
 
 Each coherence period is simulated as array work over its fine steps.  The
 period's truth comes from ``dynamics.advance_truth_steps``, the recurrence
@@ -72,13 +72,13 @@ MAX_RHO_DB = 80.0
 # and 4, seeds 0-4) pass at 1e-160; 1 of 10 stops on ZeroChannel at 1e-162.
 MIN_BETA = 1e-150
 
-# Tracker settings used by run_frame.  The sigma points sit about one prior
-# standard deviation from the mean (eta = 0.2; see UkfParams).  At the
-# UkfParams default of eta = 1e-3 they sit 0.005 sd out, where the sigma
-# transform reduces to a second-order Taylor expansion of the steering phase
-# and the channel covariance exceeds any physically possible one 140-fold or
-# more at the reference prior.  Each measurement update runs in UPDATE_STEPS
-# partial steps (see tracker.update).
+# The filter's settings; ``sound`` runs at them, and they live only here.
+# The sigma points sit about one prior standard deviation from the mean
+# (eta = 0.2; see UkfParams).  At the UkfParams default of eta = 1e-3 they
+# sit 0.005 sd out, where the sigma transform reduces to a second-order
+# Taylor expansion of the steering phase and the channel covariance exceeds
+# any physically possible one 140-fold or more at the reference prior.  Each
+# measurement update runs in UPDATE_STEPS partial steps (see tracker.update).
 FILTER_PARAMS = UkfParams(eta=0.2)
 UPDATE_STEPS = 20
 
@@ -233,13 +233,30 @@ class RunRecord:
     diverged: bool = False
 
 
+def _empty_record(cfg: ScenarioConfig) -> RunRecord:
+    """A record for one run of cfg, its trajectories and metrics all NaN."""
+    n_fine, n_obs = cfg.num_fine_steps, cfg.num_observations
+    return RunRecord(
+        times=np.arange(n_fine) * cfg.fine_step,
+        true_tx=np.full((n_fine, cfg.L), np.nan),
+        est_tx=np.full((n_fine, cfg.L), np.nan),
+        true_rx=np.full((n_fine, cfg.L), np.nan),
+        est_rx=np.full((n_fine, cfg.L), np.nan),
+        tracked_loss=np.full(n_fine, np.nan),
+        oneshot_loss=np.full(n_fine, np.nan),
+        prediction_gain=np.full(n_fine, np.nan),
+        obs_times=np.arange(n_obs) * cfg.T_S,
+        trace_wr=np.full(n_obs, np.nan),
+        innovation_norms=np.full(n_obs, np.nan),
+    )
+
+
 def generate_scenario(
     cfg: ScenarioConfig, rng: np.random.Generator
-) -> tuple[ChannelState, ChannelState, np.ndarray]:
-    """Draws the true initial state, its noisy estimate, and the estimate's covariance."""
+) -> tuple[ChannelState, TrackerState]:
+    """The true initial state, and the filter's start: a noisy estimate and its covariance."""
     truth = _draw_truth(cfg, rng)
-    estimate = _noisy_estimate(truth, cfg, rng)
-    return truth, estimate, _initial_covariance(cfg)
+    return truth, TrackerState(_noisy_estimate(truth, cfg, rng), _initial_covariance(cfg))
 
 
 def _draw_truth(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelState:
@@ -409,42 +426,49 @@ def _period_metrics(rec, start, X, x_held, x_oneshot, model, tx, rx) -> None:
             rec.prediction_gain[out][p:] = gain / np.maximum(held[p:], 1e-300)
 
 
+def sound(ts, x_true, cfg, period, rng) -> tuple[TrackerState, float]:
+    """One sounding of the closed loop: design beams from the prior, observe, update.
+
+    The beams come from the sigma statistics of the prior ``ts``: N_T x N_R,
+    or first_N_T x first_N_R at period 0 when those are set.  ``x_true`` is
+    observed through them with noise from ``rng``, and the update, at
+    FILTER_PARAMS in UPDATE_STEPS partial steps, reuses the sigma points.
+    Returns the posterior and the norm of the innovation against the
+    noiseless measurement of the prior's mean channel.
+    """
+    tx, rx = cfg.arrays()
+    channel_fn = make_channel_fn(cfg.L, tx, rx)
+    sigma = sigma_points(ts.x_hat.x, ts.R, FILTER_PARAMS)
+    stats = channel_statistics(sigma, channel_fn)
+    n_t = cfg.first_N_T if period == 0 and cfg.first_N_T else cfg.N_T
+    n_r = cfg.first_N_R if period == 0 and cfg.first_N_R else cfg.N_R
+    design = design_beams(stats, tx, rx, cfg.rho, n_t, n_r)
+    plan = build_plan(design.F, design.Z)
+    obs = observe(plan, channel_fn(x_true[None])[0], cfg.rho, rng)
+    innovation = float(np.linalg.norm(obs.y_real - noiseless_measurement(plan, stats.h_hat)))
+    measure = observation_map(plan, cfg.L, tx, rx)
+    return update(ts, measure, obs, FILTER_PARAMS, sigma, steps=UPDATE_STEPS), innovation
+
+
 def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
     """Simulates one frame: truth evolution, periodic sounding, tracking, metrics."""
     tx, rx = cfg.arrays()
     model = cfg.dynamics()
     tp_fine = build_transition(model, cfg.fine_step)
     tp_obs = build_transition(model, cfg.T_S)
-    channel_fn = make_channel_fn(cfg.L, tx, rx)
 
     seq = np.random.SeedSequence([cfg.seed, run_index])
     rng_scenario, rng_truth, rng_obs, rng_oneshot = (
         np.random.default_rng(s) for s in seq.spawn(4)
     )
 
-    truth, estimate, R0 = generate_scenario(cfg, rng_scenario)
-    ts = TrackerState(x_hat=estimate, R=R0)
+    truth, ts = generate_scenario(cfg, rng_scenario)
 
-    n_fine = cfg.num_fine_steps
-    n_obs = cfg.num_observations
     per_obs = cfg.steps_per_period
-
-    rec = RunRecord(
-        times=np.arange(n_fine) * cfg.fine_step,
-        true_tx=np.full((n_fine, cfg.L), np.nan),
-        est_tx=np.full((n_fine, cfg.L), np.nan),
-        true_rx=np.full((n_fine, cfg.L), np.nan),
-        est_rx=np.full((n_fine, cfg.L), np.nan),
-        tracked_loss=np.full(n_fine, np.nan),
-        oneshot_loss=np.full(n_fine, np.nan),
-        prediction_gain=np.full(n_fine, np.nan),
-        obs_times=np.arange(n_obs) * cfg.T_S,
-        trace_wr=np.full(n_obs, np.nan),
-        innovation_norms=np.full(n_obs, np.nan),
-    )
+    rec = _empty_record(cfg)
 
     x_true = truth.x
-    for k in range(n_obs):
+    for k in range(cfg.num_observations):
         X = _truth_rows(x_true, tp_fine, rng_truth, per_obs, advance_first=k > 0)
         if X.shape[0] == 0:
             rec.diverged = True
@@ -452,19 +476,7 @@ def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
 
         if k > 0:
             ts = predict(ts, tp_obs)
-        sigma = sigma_points(ts.x_hat.x, ts.R, FILTER_PARAMS)
-        stats = channel_statistics(sigma, channel_fn)
-        n_t = cfg.first_N_T if k == 0 and cfg.first_N_T else cfg.N_T
-        n_r = cfg.first_N_R if k == 0 and cfg.first_N_R else cfg.N_R
-        design = design_beams(stats, tx, rx, cfg.rho, n_t, n_r)
-        plan = build_plan(design.F, design.Z)
-
-        obs = observe(plan, channel_fn(X[:1])[0], cfg.rho, rng_obs)
-        rec.innovation_norms[k] = np.linalg.norm(
-            obs.y_real - noiseless_measurement(plan, stats.h_hat)
-        )
-        measure = observation_map(plan, cfg.L, tx, rx)
-        ts = update(ts, measure, obs, FILTER_PARAMS, sigma, steps=UPDATE_STEPS)
+        ts, rec.innovation_norms[k] = sound(ts, X[0], cfg, k, rng_obs)
         if _diverged(ts.x_hat.x):
             rec.diverged = True
             break

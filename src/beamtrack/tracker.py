@@ -7,12 +7,12 @@ sample statistics stand in for the Jacobians an extended filter would need.
 Both process and measurement noise enter additively, so no state augmentation
 is required.
 
-One period of the loop calls ``predict``, then ``sigma_points`` and
-``channel_statistics`` on the prior (beam design consumes the prior's channel
-moments before the beams, and so the measurement map, exist), and finally
-``update`` with the same prior sigma points, so the covariance root is
-computed once per period.  The measurement noise comes from the observation's
-own SNR.
+One period of the loop calls ``predict``, then ``simulate.sound``, the one
+sounding step.  That calls ``sigma_points`` and ``channel_statistics`` on the
+prior (beam design consumes the prior's channel moments before the beams,
+and so the measurement map, exist), and finally ``update`` with the same
+prior sigma points, so the covariance root is computed once per period.  The
+measurement noise comes from the observation's own SNR.
 
 The sigma moments are kept factored, in one type, ``ChannelStats``.  With
 2n+1 sigma points, their images ``zeta`` and their differences from the

@@ -24,7 +24,6 @@ from beamtrack.numerics import generalized_eig_sym
 from beamtrack.simulate import ScenarioConfig, generate_scenario, run_many
 from beamtrack.sounding import build_plan, observation_map, observe
 from beamtrack.tracker import (
-    TrackerState,
     UkfParams,
     channel_statistics,
     make_channel_fn,
@@ -232,8 +231,7 @@ class TestAcceptance:
             rng_s, rng_beam, rng_noise = (
                 np.random.default_rng(s) for s in seq.spawn(3)
             )
-            truth, estimate, R0 = generate_scenario(cfg, rng_s)
-            prior = TrackerState(estimate, R0)
+            truth, prior = generate_scenario(cfg, rng_s)
             sigma = sigma_points(prior.x_hat.x, prior.R, params)
             stats = channel_statistics(sigma, channel_fn)
             h_true = channel_fn(truth.x[None])[0]

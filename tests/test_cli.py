@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from beamtrack import cli
 from beamtrack.cli import (
     _EMIT_STEPS,
     CliConfig,
@@ -104,10 +105,30 @@ class TestConfigParsing:
             CliConfig(arms=("sideways",))
         with pytest.raises(BadConfig):
             CliConfig(formats=("yaml",))
+        with pytest.raises(BadConfig, match="more than once"):
+            CliConfig(arms=("tracked", "predicted", "tracked"))
+        with pytest.raises(BadConfig, match="more than once"):
+            CliConfig(formats=("csv", "csv"))
 
     def test_quantiles_in_open_interval(self):
         with pytest.raises(BadConfig):
             CliConfig(quantiles=(0.5, 1.0))
+        with pytest.raises(BadConfig, match="more than once"):
+            CliConfig(quantiles=(0.5, 0.5, 0.25))
+
+
+class TestValueConversion:
+    """A key's text converts to the type of its default, whichever config holds it."""
+
+    def test_str_default_takes_the_text(self, monkeypatch):
+        monkeypatch.setitem(cli._DEFAULTS, "policy", "adaptive")
+        assert cli._convert_value("policy", " random ") == "random"
+
+    @pytest.mark.parametrize("default", [True, (), (1.0, "a"), [1.0]])
+    def test_other_kinds_rejected(self, monkeypatch, default):
+        monkeypatch.setitem(cli._DEFAULTS, "key", default)
+        with pytest.raises(BadConfig, match="not settable"):
+            cli._convert_value("key", "1")
 
 
 class TestSimulateCommand:
@@ -221,6 +242,7 @@ class TestSimulateCommand:
             "init_pos_var=inf",
             "sigma_vdot=nan",
             "seed=-1",
+            "quantiles=0.5,0.5,0.25",
         ],
     )
     def test_bad_scenario_value_exits_1_before_writing(self, tmp_path, capsys, setting):

@@ -22,6 +22,7 @@ from beamtrack.beams import (
 )
 from beamtrack.channel import ArrayGeometry, ChannelState, StateLayout
 from beamtrack.errors import BadScaling, SingularB, SingularInnovation
+from beamtrack import simulate
 from beamtrack.simulate import FILTER_PARAMS, ScenarioConfig, generate_scenario, run_frame
 from beamtrack.sounding import Observation, build_plan, observation_map, observe
 from beamtrack.tracker import (
@@ -57,8 +58,8 @@ def reference_stats(run_index):
     cfg = ScenarioConfig()
     tx, rx = ArrayGeometry(cfg.M_T), ArrayGeometry(cfg.M_R)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, run_index]).spawn(4)[0])
-    _, estimate, R0 = generate_scenario(cfg, rng)
-    sigma = sigma_points(estimate.x, R0, FILTER_PARAMS)
+    _, prior = generate_scenario(cfg, rng)
+    sigma = sigma_points(prior.x_hat.x, prior.R, FILTER_PARAMS)
     return cfg, channel_statistics(sigma, make_channel_fn(cfg.L, tx, rx))
 
 
@@ -149,11 +150,10 @@ def small_problem(seed):
     rng = np.random.default_rng(seed)
     cfg = ScenarioConfig(L=2, M_T=8, M_R=8, N_T=3, N_R=3)
     tx, rx = ArrayGeometry(cfg.M_T), ArrayGeometry(cfg.M_R)
-    truth, estimate, R0 = generate_scenario(cfg, rng)
+    truth, prior = generate_scenario(cfg, rng)
     fn = make_channel_fn(cfg.L, tx, rx)
     params = UkfParams(eta=1.0)  # nonnegative weights: a PSD joint covariance
-    prior = TrackerState(estimate, R0)
-    sigma = sigma_points(estimate.x, R0, params)
+    sigma = sigma_points(prior.x_hat.x, prior.R, params)
     stats = channel_statistics(sigma, fn)
     design = design_beams(stats, tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
     plan = build_plan(design.F, design.Z)
@@ -170,14 +170,14 @@ def reference_first_sounding(run_index):
         np.random.default_rng(s)
         for s in np.random.SeedSequence([cfg.seed, run_index]).spawn(4)
     )
-    truth, estimate, R0 = generate_scenario(cfg, rng_scenario)
+    truth, prior = generate_scenario(cfg, rng_scenario)
     fn = make_channel_fn(cfg.L, tx, rx)
-    sigma = sigma_points(estimate.x, R0, FILTER_PARAMS)
+    sigma = sigma_points(prior.x_hat.x, prior.R, FILTER_PARAMS)
     design = design_beams(channel_statistics(sigma, fn), tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
     plan = build_plan(design.F, design.Z)
     obs = observe(plan, fn(truth.x[None, :])[0], cfg.rho, rng_obs)
     measure = observation_map(plan, cfg.L, tx, rx)
-    return TrackerState(estimate, R0), sigma, measure, obs
+    return prior, sigma, measure, obs
 
 
 def solve_longdouble(A, B):
@@ -282,6 +282,20 @@ class TestFactoredUpdate:
     def test_first_reference_update_leaves_velocities(self, run_index):
         prior, sigma, measure, obs = reference_first_sounding(run_index)
         assert_velocities_unmoved(prior, update(prior, measure, obs, FILTER_PARAMS, sigma=sigma))
+
+    def test_sound_is_the_first_sounding_written_out(self):
+        # first_N_T/first_N_R set the beam counts at period 0 and nowhere else
+        prior, sigma, measure, obs = reference_first_sounding(0)
+        want = update(prior, measure, obs, FILTER_PARAMS, sigma, steps=simulate.UPDATE_STEPS)
+        wide = ScenarioConfig(first_N_T=8, first_N_R=8)
+        for cfg, period, same in ((ScenarioConfig(), 0, True), (wide, 1, True), (wide, 0, False)):
+            rng_scenario, _, rng_obs, _ = (
+                np.random.default_rng(s) for s in np.random.SeedSequence([0, 0]).spawn(4)
+            )
+            truth, _ = generate_scenario(cfg, rng_scenario)
+            post, _ = simulate.sound(prior, truth.x, cfg, period, rng_obs)
+            assert np.array_equal(post.x_hat.x, want.x_hat.x) == same
+            assert np.array_equal(post.R, want.R) == same
 
     def test_indefinite_innovation_raises(self):
         # Negative weights make G Pi G^T strongly indefinite, and the noise

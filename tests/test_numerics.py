@@ -280,8 +280,8 @@ def beam_design_inputs():
         mp.setattr(beams, "rank_one_factor", recorded)
         for i in range(4):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]).spawn(4)[0])
-            _, estimate, R0 = generate_scenario(cfg, rng)
-            stats = channel_statistics(sigma_points(estimate.x, R0, FILTER_PARAMS), fn)
+            _, prior = generate_scenario(cfg, rng)
+            stats = channel_statistics(sigma_points(prior.x_hat.x, prior.R, FILTER_PARAMS), fn)
             beams.design_beams(stats, tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
     return inputs
 

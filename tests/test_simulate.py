@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import beamtrack.sounding
-from beamtrack.beams import design_beams
 from beamtrack.channel import (
     ArrayGeometry,
     ChannelState,
@@ -19,18 +18,17 @@ from beamtrack.channel import (
     steering_factors,
     steering_vector,
 )
-from beamtrack.dynamics import DynamicsModel, advance_truth, build_transition
+from beamtrack.dynamics import advance_truth, build_transition
 from beamtrack.errors import BadConfig, EmptyInput, ZeroChannel
 from beamtrack.simulate import (
     DIVERGENCE_NORM,
-    FILTER_PARAMS,
     MIN_BETA,
-    UPDATE_STEPS,
     RunRecord,
     ScenarioConfig,
     _BLAS_THREAD_VARS,
     _beam_gains,
     _dominant_beams,
+    _empty_record,
     _initial_covariance,
     _noisy_estimate,
     _spectral_gains,
@@ -40,16 +38,10 @@ from beamtrack.simulate import (
     run_frame,
     run_many,
     snr_loss_ratio,
+    sound,
 )
-from beamtrack.sounding import build_plan, noiseless_measurement, observation_map, observe
-from beamtrack.tracker import (
-    TrackerState,
-    channel_statistics,
-    make_channel_fn,
-    predict,
-    sigma_points,
-    update,
-)
+from beamtrack.sounding import build_plan
+from beamtrack.tracker import predict
 
 
 def small_config(**overrides):
@@ -75,37 +67,20 @@ def per_step_reference(cfg, run_index=0) -> RunRecord:
     Advances the truth with advance_truth, forms every channel matrix, takes
     spectral norms and dominant singular vectors from dense SVDs, and
     predicts the held estimate with build_transition over each horizon.  It
-    shares run_frame's seed streams and sounding steps.
+    shares run_frame's seed streams, starting state and sounding step,
+    ``sound``.
     """
-    tx = ArrayGeometry(cfg.M_T, cfg.d_over_lambda)
-    rx = ArrayGeometry(cfg.M_R, cfg.d_over_lambda)
-    model = DynamicsModel(
-        L=cfg.L, beta=cfg.beta, T_S=cfg.T_S, q_upsilon=np.array(cfg.q_upsilon)
-    )
+    tx, rx = cfg.arrays()
+    model = cfg.dynamics()
     tp_fine = build_transition(model, cfg.fine_step)
     tp_obs = build_transition(model, cfg.T_S)
-    channel_fn = make_channel_fn(cfg.L, tx, rx)
     seq = np.random.SeedSequence([cfg.seed, run_index])
     rng_scenario, rng_truth, rng_obs, rng_oneshot = (
         np.random.default_rng(s) for s in seq.spawn(4)
     )
-    truth, estimate, R0 = generate_scenario(cfg, rng_scenario)
-    ts = TrackerState(estimate, R0)
-    n_fine, n_obs, per_obs = cfg.num_fine_steps, cfg.num_observations, cfg.steps_per_period
-    rec = RunRecord(
-        times=np.arange(n_fine) * cfg.fine_step,
-        **{
-            name: np.full((n_fine, cfg.L), np.nan)
-            for name in ("true_tx", "est_tx", "true_rx", "est_rx")
-        },
-        **{
-            name: np.full(n_fine, np.nan)
-            for name in ("tracked_loss", "oneshot_loss", "prediction_gain")
-        },
-        obs_times=np.arange(n_obs) * cfg.T_S,
-        trace_wr=np.full(n_obs, np.nan),
-        innovation_norms=np.full(n_obs, np.nan),
-    )
+    truth, ts = generate_scenario(cfg, rng_scenario)
+    rec = _empty_record(cfg)
+    n_fine, per_obs = cfg.num_fine_steps, cfg.steps_per_period
 
     def healthy(x):
         return np.all(np.isfinite(x)) and np.linalg.norm(x) < DIVERGENCE_NORM
@@ -128,18 +103,7 @@ def per_step_reference(cfg, run_index=0) -> RunRecord:
             k = i // per_obs
             if k > 0:
                 ts = predict(ts, tp_obs)
-            sigma = sigma_points(ts.x_hat.x, ts.R, FILTER_PARAMS)
-            stats = channel_statistics(sigma, channel_fn)
-            n_t = cfg.first_N_T if k == 0 and cfg.first_N_T else cfg.N_T
-            n_r = cfg.first_N_R if k == 0 and cfg.first_N_R else cfg.N_R
-            design = design_beams(stats, tx, rx, cfg.rho, n_t, n_r)
-            plan = build_plan(design.F, design.Z)
-            obs = observe(plan, channel_fn(truth.x[None, :])[0], cfg.rho, rng_obs)
-            rec.innovation_norms[k] = np.linalg.norm(
-                obs.y_real - noiseless_measurement(plan, stats.h_hat)
-            )
-            measure = observation_map(plan, cfg.L, tx, rx)
-            ts = update(ts, measure, obs, FILTER_PARAMS, sigma, steps=UPDATE_STEPS)
+            ts, rec.innovation_norms[k] = sound(ts, truth.x, cfg, k, rng_obs)
             if not healthy(ts.x_hat.x):
                 rec.diverged = True
                 break
@@ -211,9 +175,9 @@ class TestGenerateScenario:
         cfg = small_config(
             init_pos_var=0.0, init_vel_var=0.0, init_gain_var=0.0, sigma_vdot=0.0
         )
-        truth, est, R0 = generate_scenario(cfg, np.random.default_rng(0))
-        np.testing.assert_array_equal(est.x, truth.x)
-        np.testing.assert_array_equal(R0, np.zeros((6, 6)))
+        truth, prior = generate_scenario(cfg, np.random.default_rng(0))
+        np.testing.assert_array_equal(prior.x_hat.x, truth.x)
+        np.testing.assert_array_equal(prior.R, np.zeros((6, 6)))
 
     @pytest.mark.parametrize("L", [1, 4])
     def test_initial_covariance_matches_entrywise_reference(self, L):
@@ -228,9 +192,9 @@ class TestGenerateScenario:
 
     def test_initial_covariance_layout(self):
         cfg = small_config(init_pos_var=0.1, init_vel_var=1e6, init_gain_var=0.01)
-        _, _, R0 = generate_scenario(cfg, np.random.default_rng(1))
+        _, prior = generate_scenario(cfg, np.random.default_rng(1))
         np.testing.assert_allclose(
-            np.diagonal(R0), [0.005, 0.005, 0.1, 1e6, 0.1, 1e6]
+            np.diagonal(prior.R), [0.005, 0.005, 0.1, 1e6, 0.1, 1e6]
         )
 
     def test_rayleigh_speed_magnitude(self):
@@ -259,8 +223,8 @@ class TestGenerateScenario:
         rng = np.random.default_rng(4)
         errs = []
         for _ in range(200):
-            truth, est, _ = generate_scenario(cfg, rng)
-            errs.append(est.tx_positions - truth.tx_positions)
+            truth, prior = generate_scenario(cfg, rng)
+            errs.append(prior.x_hat.tx_positions - truth.tx_positions)
         errs = np.concatenate(errs)
         np.testing.assert_allclose(np.var(errs), 0.1, rtol=0.1)
         assert abs(np.mean(errs)) < 0.01

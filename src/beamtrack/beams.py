@@ -7,10 +7,11 @@ sigma statistics; the physical transmit/receive factorization is then
 recovered by rearranging the eigenvector matrix so Kronecker structure
 becomes an outer product and taking its best rank-one approximation.  Only
 the signal directions, those with eigenvalues above round-off, enter that
-fit, so the beams are set by the model rather than by the arithmetic.  A
-deterministic DFT grid fills beam slots that no signal direction reaches,
-acts as the fallback whenever the statistics carry no usable information,
-and serves as the non-adaptive control arm.
+fit, so the beams are set by the model rather than by the arithmetic.  That
+is the one path from the statistics to the beams: a beam that no signal
+direction reaches takes its column of a deterministic DFT grid, so with no
+signal at all every beam does.  The same grid serves as the non-adaptive
+control arm.
 
 ``design_beams`` takes the prior's sigma moments as the tracker computed
 them (``tracker.ChannelStats``), so this module draws no sigma points of its
@@ -52,7 +53,11 @@ SIGNAL_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class BeamDesignOutput:
-    """Designed beams plus solver diagnostics."""
+    """Designed beams plus solver diagnostics.
+
+    ``used_fallback`` says no direction carried signal, so every beam is its
+    DFT grid column.
+    """
 
     F: np.ndarray
     Z: np.ndarray
@@ -66,16 +71,17 @@ def unconstrained_optimal_directions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top observation directions ignoring the Kronecker/unit-norm structure.
 
-    Returns the leading ``num_dirs`` generalized eigenvectors of the pencil
-    (A, B), with A = R_xh^T R_xh and B = Pi + (1/(2 rho)) I for the moments
-    Pi = E^T J E and R_xh = T^T E of ``stats``, as unit-norm columns together
-    with their eigenvalues in descending order.  ``h_hat`` does not enter.
+    Returns the leading min(num_dirs, n) generalized eigenvectors of the
+    pencil (A, B), with A = R_xh^T R_xh and B = Pi + (1/(2 rho)) I for the
+    moments Pi = E^T J E and R_xh = T^T E of ``stats``, as unit-norm columns
+    together with their eigenvalues in descending order.  ``h_hat`` does not
+    enter.
 
     A = U U^T with U = E^T T has rank at most the state dimension n, so
     every nonzero eigenpair comes from the n x n matrix
-    U^T B^-1 U = Q diag(lam) Q^T as v = B^-1 U q.  Requested slots beyond n
-    are zero columns with eigenvalue zero.  Each column's sign is fixed so
-    that its largest-magnitude entry is positive.
+    U^T B^-1 U = Q diag(lam) Q^T as v = B^-1 U q, and no more than n
+    directions are returned.  Each column's sign is fixed so that its
+    largest-magnitude entry is positive.
 
     Both come from ``push_through_solve`` on the factors: with
     Y = K^-1 T, B^-1 U = E^T Y and U^T B^-1 U = T^T E E^T Y.  B is positive
@@ -104,16 +110,13 @@ def unconstrained_optimal_directions(
     keep = min(num_dirs, w.shape[0])
     order = np.argsort(w)[::-1][:keep]
     V = E.T @ (Y @ Q[:, order])
+    # V scales with 2 rho; an exact power-of-two rescale keeps the squares
+    # summed by the norm from underflowing at a very low SNR.
+    V = np.ldexp(V, -np.frexp(np.abs(V).max(axis=0))[1])
     norms = np.linalg.norm(V, axis=0)
     V = V / np.where(norms > 0.0, norms, 1.0)
     peak = np.abs(V).argmax(axis=0)
-    V = V * np.where(V[peak, np.arange(keep)] < 0.0, -1.0, 1.0)
-
-    eigvecs = np.zeros((E.shape[1], num_dirs))
-    eigvals = np.zeros(num_dirs)
-    eigvecs[:, :keep] = V
-    eigvals[:keep] = w[order]
-    return eigvecs, eigvals
+    return V * np.where(V[peak, np.arange(keep)] < 0.0, -1.0, 1.0), w[order]
 
 
 def signal_rank(eigvals: np.ndarray) -> int:
@@ -145,7 +148,8 @@ def beams_from_directions(
     slots as zero.  Groups share no beam, so their fits are independent; one
     fit over the whole grid would keep only the strongest group.  A beam that
     no signal direction reaches takes the DFT grid column (see
-    ``_normalized_columns``).  The output carries ``eigvals`` as its
+    ``_normalized_columns``), so at signal rank 0 every beam does and
+    ``used_fallback`` is set.  The output carries ``eigvals`` as its
     eigenvalues, and its residual is the groups' energy-weighted relative
     rank-one residual.
     """
@@ -176,6 +180,7 @@ def beams_from_directions(
         Z=_normalized_columns(Z, dims.m2),
         eigenvalues=np.asarray(eigvals, dtype=float),
         rank_one_residual=float(np.sqrt(residual / energy)) if energy else 0.0,
+        used_fallback=rank == 0,
     )
 
 
@@ -308,9 +313,10 @@ def design_beams(
         num_rx_beams: Receive beam count.
 
     Returns:
-        BeamDesignOutput, with every state component weighted equally; falls
-        back to the DFT grid when the statistics are degenerate (nothing to
-        aim at), with used_fallback set.
+        BeamDesignOutput of ``beams_from_directions`` on the pencil's
+        directions, with every state component weighted equally.  Beams no
+        signal direction reaches are DFT grid columns; when no direction
+        carries signal, all are, and used_fallback is set.
     """
     if num_tx_beams < 1 or num_rx_beams < 1:
         raise BadBeamCount("need at least one beam per side")
@@ -320,23 +326,13 @@ def design_beams(
     V_real, eigvals = unconstrained_optimal_directions(
         stats, rho, num_tx_beams * num_rx_beams
     )
-    if eigvals[0] < 1e-12:
-        return _fallback(dims)
     return beams_from_directions(V_real, eigvals, dims)
-
-
-def _fallback(dims: KroneckerFactorDims) -> BeamDesignOutput:
-    return BeamDesignOutput(
-        F=baseline_beams("dft_grid", dims.m1, dims.n1),
-        Z=baseline_beams("dft_grid", dims.m2, dims.n2),
-        used_fallback=True,
-    )
 
 
 def baseline_beams(
     kind: str, M: int, N: int, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Non-adaptive beam sets used as fallbacks and experiment controls.
+    """Non-adaptive beam sets: unreached design beams and experiment controls.
 
     Args:
         kind: "dft_grid" for evenly spaced columns of the M-point unitary DFT

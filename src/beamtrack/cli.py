@@ -120,14 +120,11 @@ def _kind(value):
 def _convert_value(name: str, text: str):
     """Converts one raw config string to the type of its key's default.
 
-    The kinds are optional int (a None default), int, float, str, and tuples
-    of float or of str.  Any other kind is rejected rather than guessed at:
-    ``bool("false")`` is True.
+    The kinds are int, float, str, and tuples of float or of str.  Any other
+    kind is rejected rather than guessed at: ``bool("false")`` is True.
     """
     default = _DEFAULTS[name]
     try:
-        if default is None:  # optional int (first-period beam counts)
-            return None if text.strip().lower() in ("", "none") else int(text)
         kind = _kind(default)
         if kind is not None:
             return kind(text.strip())

@@ -52,6 +52,7 @@ from .tracker import (
     UkfParams,
     channel_statistics,
     make_channel_fn,
+    partial_noise_variances,
     predict,
     sigma_points,
     update,
@@ -96,9 +97,6 @@ class ScenarioConfig:
         L: Path count.
         M_T, M_R: Transmit/receive antenna counts.
         N_T, N_R: Sounding beam counts per period.
-        first_N_T, first_N_R: Optional beam counts for the first period only,
-            letting a run start with a denser sweep before settling on
-            N_T/N_R; ``None`` uses N_T/N_R throughout.
         rho_db: SNR in dB, at most MAX_RHO_DB.
         beta: Gain correlation per reference step.
         T_S: Coherence period (seconds) — one sounding per period.
@@ -120,8 +118,6 @@ class ScenarioConfig:
     M_R: int = 16
     N_T: int = 6
     N_R: int = 6
-    first_N_T: int | None = None
-    first_N_R: int | None = None
     rho_db: float = 10.0
     beta: float = 0.905
     T_S: float = 1e-4
@@ -149,6 +145,10 @@ class ScenarioConfig:
             rho = math.inf
         if not 0.0 < rho < math.inf:
             raise BadConfig(f"rho_db={self.rho_db} gives no positive finite SNR")
+        with np.errstate(over="ignore", divide="ignore"):
+            first_noise_var = partial_noise_variances(rho, UPDATE_STEPS)[0]
+        if not math.isfinite(first_noise_var):
+            raise BadConfig(f"rho_db={self.rho_db} gives the update infinite noise variance")
         if self.beta < MIN_BETA:
             raise BadConfig(f"beta={self.beta} is below {MIN_BETA}; predicted gains underflow")
         if self.rho_db > MAX_RHO_DB:
@@ -163,10 +163,6 @@ class ScenarioConfig:
             raise BadConfig(f"seed must be nonnegative, got {self.seed}")
         if self.N_T > self.M_T or self.N_R > self.M_R:
             raise BadConfig("beam counts cannot exceed antenna counts")
-        for name, cap in (("first_N_T", self.M_T), ("first_N_R", self.M_R)):
-            value = getattr(self, name)
-            if value is not None and not 1 <= value <= cap:
-                raise BadConfig(f"{name} must lie in [1, {cap}]")
         for name in ("T_S", "frame_length", "fine_step"):
             if getattr(self, name) <= 0.0:
                 raise BadConfig(f"{name} must be positive")
@@ -426,11 +422,11 @@ def _period_metrics(rec, start, X, x_held, x_oneshot, model, tx, rx) -> None:
             rec.prediction_gain[out][p:] = gain / np.maximum(held[p:], 1e-300)
 
 
-def sound(ts, x_true, cfg, period, rng) -> tuple[TrackerState, float]:
+def sound(ts, x_true, cfg, rng) -> tuple[TrackerState, float]:
     """One sounding of the closed loop: design beams from the prior, observe, update.
 
-    The beams come from the sigma statistics of the prior ``ts``: N_T x N_R,
-    or first_N_T x first_N_R at period 0 when those are set.  ``x_true`` is
+    The N_T x N_R beams come from the sigma statistics of the prior ``ts``
+    through ``design_beams``, the same at every period.  ``x_true`` is
     observed through them with noise from ``rng``, and the update, at
     FILTER_PARAMS in UPDATE_STEPS partial steps, reuses the sigma points.
     Returns the posterior and the norm of the innovation against the
@@ -440,9 +436,7 @@ def sound(ts, x_true, cfg, period, rng) -> tuple[TrackerState, float]:
     channel_fn = make_channel_fn(cfg.L, tx, rx)
     sigma = sigma_points(ts.x_hat.x, ts.R, FILTER_PARAMS)
     stats = channel_statistics(sigma, channel_fn)
-    n_t = cfg.first_N_T if period == 0 and cfg.first_N_T else cfg.N_T
-    n_r = cfg.first_N_R if period == 0 and cfg.first_N_R else cfg.N_R
-    design = design_beams(stats, tx, rx, cfg.rho, n_t, n_r)
+    design = design_beams(stats, tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
     plan = build_plan(design.F, design.Z)
     obs = observe(plan, channel_fn(x_true[None])[0], cfg.rho, rng)
     innovation = float(np.linalg.norm(obs.y_real - noiseless_measurement(plan, stats.h_hat)))
@@ -476,7 +470,7 @@ def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
 
         if k > 0:
             ts = predict(ts, tp_obs)
-        ts, rec.innovation_norms[k] = sound(ts, X[0], cfg, k, rng_obs)
+        ts, rec.innovation_norms[k] = sound(ts, X[0], cfg, rng_obs)
         if _diverged(ts.x_hat.x):
             rec.diverged = True
             break

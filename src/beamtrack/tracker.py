@@ -332,6 +332,12 @@ def predict(ts: TrackerState, tp: TransitionPair) -> TrackerState:
     return TrackerState(x_hat=ChannelState(ts.x_hat.L, x_new), R=R_new)
 
 
+def partial_noise_variances(rho: float, steps: int) -> np.ndarray:
+    """Noise variance of each of ``update``'s partial steps at SNR rho; step 0's is largest."""
+    fractions = 2.0 ** np.arange(steps) / (2.0**steps - 1.0)
+    return 1.0 / (2.0 * rho * fractions)
+
+
 def update(
     prior: TrackerState,
     measure,
@@ -399,11 +405,9 @@ def update(
     points = sigma.points
     w = w_cov[1:]
     beta = _beta(w_cov)
-    fractions = 2.0 ** np.arange(steps) / (2.0**steps - 1.0)
-    for step, fraction in enumerate(fractions):
+    for step, c in enumerate(partial_noise_variances(y.snr_rho, steps)):
         if step > 0:
             points = _sigma_points(x, root)
-        c = 1.0 / (2.0 * y.snr_rho * fraction)
         dx, dR = _partial_step(points, measure, y, w, beta, c)
         x = x + dx
         R, root = _condition_covariance(R - dR, scale)

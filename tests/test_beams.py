@@ -92,6 +92,17 @@ class TestUnconstrainedOptimalDirections:
         np.testing.assert_allclose(eigvals[0], 2.0 * RHO * (r @ r), rtol=1e-10)
         np.testing.assert_allclose(eigvals[1:], 0.0, atol=1e-8)
 
+    def test_directions_do_not_underflow_at_a_tiny_snr(self):
+        # With Pi = 0, B = I / (2 rho): the directions are A's top
+        # eigenvectors at every SNR, and the eigenvalues scale with rho.
+        rng = np.random.default_rng(73)
+        stats = design_input(rng)
+        V1, w1 = unconstrained_optimal_directions(stats, 1.0, 4)
+        V, w = unconstrained_optimal_directions(stats, 1e-300, 4)
+        np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(V, V1, atol=1e-12)
+        np.testing.assert_allclose(w, 1e-300 * w1, rtol=1e-12)
+
     def test_residual_on_random_pencils(self):
         rng = np.random.default_rng(72)
         M = rng.standard_normal((16, 16))
@@ -348,12 +359,19 @@ class TestDesignBeams:
                             10.0, n_t, n_r)
 
     def test_certain_prior_falls_back(self):
+        # No signal direction: every beam on both sides is its DFT grid column,
+        # on a square and on a non-square beam grid.
         prior = TrackerState(ChannelState(1, np.zeros(6)), np.zeros((6, 6)))
-        out = self.design(prior, 2, 2)
-        assert out.used_fallback
-        np.testing.assert_allclose(
-            out.F, baseline_beams("dft_grid", 8, 2), atol=1e-15
-        )
+        for n_t, n_r in ((2, 2), (3, 2)):
+            out = self.design(prior, n_t, n_r)
+            assert out.used_fallback
+            assert out.rank_one_residual == 0.0
+            np.testing.assert_allclose(
+                out.F, baseline_beams("dft_grid", 8, n_t), atol=1e-15
+            )
+            np.testing.assert_allclose(
+                out.Z, baseline_beams("dft_grid", 8, n_r), atol=1e-15
+            )
 
     def test_beams_point_at_confident_path(self):
         rng = np.random.default_rng(80)

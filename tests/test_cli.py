@@ -59,12 +59,8 @@ class TestConfigParsing:
         assert load_cli_config(str(cfg_file)).scenario.seed == 4
 
     def test_tuple_and_optional_fields(self):
-        cfg = build_cli_config(
-            {"q_upsilon": "1e-3, 5.0", "first_N_T": "8", "first_N_R": "none"}
-        )
+        cfg = build_cli_config({"q_upsilon": "1e-3, 5.0"})
         assert cfg.scenario.q_upsilon == (1e-3, 5.0)
-        assert cfg.scenario.first_N_T == 8
-        assert cfg.scenario.first_N_R is None
 
     def test_cli_keys(self):
         cfg = build_cli_config(
@@ -207,7 +203,6 @@ class TestSimulateCommand:
         for key in ("output_dir", "formats", "arms", "quantiles"):
             assert key in summary["config"]
         assert summary["config"]["seed"] == 7
-        assert summary["config"]["first_N_T"] is None
         assert summary["seeds"] == [[7, 0], [7, 1]]
 
     @pytest.mark.parametrize("content", [None, b"L=2\n\xff\n"], ids=["absent", "not-utf8"])
@@ -235,6 +230,7 @@ class TestSimulateCommand:
             "rho_db=1e10",
             "rho_db=160",
             "rho_db=300",
+            "rho_db=-3090",
             "beta=1.5",
             "beta=1e-170",
             "q_upsilon=1,2,3",
@@ -243,6 +239,7 @@ class TestSimulateCommand:
             "sigma_vdot=nan",
             "seed=-1",
             "quantiles=0.5,0.5,0.25",
+            "first_N_T=4",
         ],
     )
     def test_bad_scenario_value_exits_1_before_writing(self, tmp_path, capsys, setting):

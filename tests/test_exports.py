@@ -1,8 +1,10 @@
-"""Names the package promises resolve: its ``__all__`` and the demos' imports.
+"""Names the package promises resolve: ``__all__``, the console script, demo imports.
 
 The demos' imports are read with ``ast``, without running the scripts, so
 demo 06, which ``test_demos.py`` leaves out for its run time, is checked too.
-Each name a demo imports from beamtrack must also be used in it.
+Each name a demo imports from beamtrack must also be used in it.  The
+``beamtrack`` command's entry point is read from ``pyproject.toml`` as text,
+since Python 3.10 has no ``tomllib``.
 """
 
 import ast
@@ -11,12 +13,21 @@ from pathlib import Path
 
 import beamtrack
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_every_name_in_all_is_an_attribute():
     missing = [name for name in beamtrack.__all__ if not hasattr(beamtrack, name)]
     assert not missing, f"beamtrack.__all__ names missing attributes: {missing}"
+
+
+def test_console_script_target_is_callable():
+    lines = (ROOT / "pyproject.toml").read_text().splitlines()
+    key, _, target = lines[lines.index("[project.scripts]") + 1].partition("=")
+    assert key.strip() == "beamtrack"
+    module_name, _, attr = target.strip().strip('"').partition(":")
+    assert callable(getattr(importlib.import_module(module_name), attr))
 
 
 def beamtrack_imports(path: Path) -> list[tuple[str, str | None, str]]:

@@ -103,7 +103,7 @@ def per_step_reference(cfg, run_index=0) -> RunRecord:
             k = i // per_obs
             if k > 0:
                 ts = predict(ts, tp_obs)
-            ts, rec.innovation_norms[k] = sound(ts, truth.x, cfg, k, rng_obs)
+            ts, rec.innovation_norms[k] = sound(ts, truth.x, cfg, rng_obs)
             if not healthy(ts.x_hat.x):
                 rec.diverged = True
                 break
@@ -162,12 +162,6 @@ class TestScenarioConfig:
         assert ScenarioConfig(beta=MIN_BETA).beta == MIN_BETA
         with pytest.raises(BadConfig, match="underflow"):
             ScenarioConfig(beta=MIN_BETA / 10.0)
-
-    def test_rejects_bad_first_period_count(self):
-        with pytest.raises(BadConfig):
-            ScenarioConfig(first_N_T=17)
-        with pytest.raises(BadConfig):
-            ScenarioConfig(first_N_R=0)
 
 
 class TestGenerateScenario:
@@ -385,18 +379,6 @@ class TestRunFrame:
         np.testing.assert_allclose(rec.tracked_loss, 1.0, atol=1e-9)
         np.testing.assert_allclose(rec.prediction_gain, 1.0, atol=1e-9)
         np.testing.assert_allclose(rec.oneshot_loss, 1.0, atol=1e-9)
-
-    def test_first_period_beam_count_changes_trajectory(self):
-        base = run_frame(small_config(), 0)
-        wide = run_frame(small_config(first_N_T=4, first_N_R=4), 0)
-        assert not wide.diverged
-        assert not np.array_equal(base.est_tx, wide.est_tx)
-
-    def test_first_period_count_equal_to_steady_state_is_identity(self):
-        base = run_frame(small_config(), 0)
-        same = run_frame(small_config(first_N_T=2, first_N_R=2), 0)
-        np.testing.assert_array_equal(base.tracked_loss, same.tracked_loss)
-        np.testing.assert_array_equal(base.est_tx, same.est_tx)
 
     def test_divergent_run_is_flagged_not_raised(self):
         cfg = small_config(q_upsilon=(1e30, 1e30))

@@ -27,12 +27,14 @@ factored as Pi = E^T J E and R_xh = T^T E; from sigma statistics E holds the
 With K = c I + J E E^T and c = 1/(2 rho), B^-1 U = E^T K^-1 T and
 U^T B^-1 U = T^T E E^T K^-1 T: one (2n+1)-square solve, and nothing in
 channel space is factored.  U^T B^-1 U is the covariance reduction the
-update would make if it measured the whole channel at the sounding's SNR.
+update would make if it measured the whole channel at the sounding's SNR;
+``design_beams`` returns it with the beams, and the closed loop sets the
+update's partial-step count from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,7 +58,8 @@ class BeamDesignOutput:
     """Designed beams plus solver diagnostics.
 
     ``used_fallback`` says no direction carried signal, so every beam is its
-    DFT grid column.
+    DFT grid column.  ``reduction`` is the pencil's U^T B^-1 U from
+    ``design_beams`` (see ``whole_channel_reduction``), empty otherwise.
     """
 
     F: np.ndarray
@@ -64,10 +67,37 @@ class BeamDesignOutput:
     eigenvalues: np.ndarray = field(default_factory=lambda: np.zeros(0))
     rank_one_residual: float = 0.0
     used_fallback: bool = False
+    reduction: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+
+
+def whole_channel_reduction(
+    stats: ChannelStats, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pencil's solve ``(Y, C)``, with C = U^T B^-1 U for the moments of ``stats``.
+
+    C, n x n in the state space, is the covariance reduction an update
+    would make if it measured the whole channel at SNR rho (noise variance
+    1/(2 rho) per real component); ``Y = K^-1 T`` gives B^-1 U = E^T Y.
+    Both come from one ``push_through_solve``.
+
+    Raises:
+        DimensionMismatch: E, J and T disagree in their leading dimension k.
+        NonpositiveSnr: ``rho <= 0``.
+        SingularB: B is not positive definite.
+    """
+    E, J, T = stats.E, stats.J, stats.T
+    k = E.shape[0]
+    if E.ndim != 2 or J.shape != (k, k) or T.ndim != 2 or T.shape[0] != k:
+        raise DimensionMismatch(
+            f"factor shapes E {E.shape}, J {J.shape}, T {T.shape} do not agree"
+        )
+    if rho <= 0.0:
+        raise NonpositiveSnr(f"snr must be positive, got {rho}")
+    return push_through_solve(stats, 1.0 / (2.0 * rho), check=True, error=SingularB)
 
 
 def unconstrained_optimal_directions(
-    stats: ChannelStats, rho: float, num_dirs: int
+    stats: ChannelStats, rho: float, num_dirs: int, reduction=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top observation directions ignoring the Kronecker/unit-norm structure.
 
@@ -83,7 +113,8 @@ def unconstrained_optimal_directions(
     directions are returned.  Each column's sign is fixed so that its
     largest-magnitude entry is positive.
 
-    Both come from ``push_through_solve`` on the factors: with
+    Both come from ``whole_channel_reduction``, or from ``reduction`` when
+    that solve has already been made for these moments at this rho: with
     Y = K^-1 T, B^-1 U = E^T Y and U^T B^-1 U = T^T E E^T Y.  B is positive
     definite exactly when det K > 0, for a core with at most one negative
     eigenvalue; otherwise SingularB is raised.
@@ -94,18 +125,10 @@ def unconstrained_optimal_directions(
         BadBeamCount: ``num_dirs < 1``.
         SingularB: B is not positive definite.
     """
-    E, J, T = stats.E, stats.J, stats.T
-    k = E.shape[0]
-    if E.ndim != 2 or J.shape != (k, k) or T.ndim != 2 or T.shape[0] != k:
-        raise DimensionMismatch(
-            f"factor shapes E {E.shape}, J {J.shape}, T {T.shape} do not agree"
-        )
-    if rho <= 0.0:
-        raise NonpositiveSnr(f"snr must be positive, got {rho}")
     if num_dirs < 1:
         raise BadBeamCount(f"need at least one direction, got {num_dirs}")
-    c = 1.0 / (2.0 * rho)
-    Y, C = push_through_solve(stats, c, check=True, error=SingularB)
+    Y, C = whole_channel_reduction(stats, rho) if reduction is None else reduction
+    E = stats.E
     w, Q = np.linalg.eigh((C + C.T) / 2.0)
     keep = min(num_dirs, w.shape[0])
     order = np.argsort(w)[::-1][:keep]
@@ -256,13 +279,13 @@ def kronecker_beams(V: np.ndarray, dims: KroneckerFactorDims) -> BeamDesignOutpu
     orthogonalized against all earlier ones, a restart from the Ritz vector
     after 24 vectors, and a stop once the top Ritz pair's residual is below
     1e-14 of its Ritz value (16 to 26 steps at the default 96-square size).
-    Its products are ``np.einsum`` calls, which use no BLAS: OpenBLAS puts a
-    complex gemv with ``m n >= 4096`` on a second thread, the 96 x 96 gemv
-    ``R @ x`` (``m n = 9216``) among them, and that thread then spins until
-    the next sounding.  The restart keeps ``eigh`` of the Lanczos
-    tridiagonal below 26 x 26, from which it too wakes the thread.  So beam
-    design wakes no BLAS thread, and its result does not depend on the
-    thread count.
+    Its products are gemv calls of fewer than 4096 entries each: OpenBLAS
+    puts a complex gemv with ``m n >= 4096`` on a second thread, the 96 x 96
+    gemv ``R @ x`` (``m n = 9216``) among them, and that thread then spins
+    until the next sounding, so ``R @ x`` runs over blocks of rows.  The
+    restart keeps ``eigh`` of the Lanczos tridiagonal below 26 x 26, from
+    which it too wakes the thread.  So beam design wakes no BLAS thread, and
+    its result does not depend on the thread count.
     """
     V = np.asarray(V, dtype=complex)
     if V.shape != dims.product_shape:
@@ -316,17 +339,21 @@ def design_beams(
         BeamDesignOutput of ``beams_from_directions`` on the pencil's
         directions, with every state component weighted equally.  Beams no
         signal direction reaches are DFT grid columns; when no direction
-        carries signal, all are, and used_fallback is set.
+        carries signal, all are, and used_fallback is set.  Its
+        ``reduction`` is the pencil's U^T B^-1 U, the covariance reduction
+        of measuring the whole channel at rho, from the same solve as the
+        directions; ``simulate.sound`` sets the update's step count from it.
     """
     if num_tx_beams < 1 or num_rx_beams < 1:
         raise BadBeamCount("need at least one beam per side")
     dims = KroneckerFactorDims(
         tx.num_antennas, num_tx_beams, rx.num_antennas, num_rx_beams
     )
+    reduction = whole_channel_reduction(stats, rho)
     V_real, eigvals = unconstrained_optimal_directions(
-        stats, rho, num_tx_beams * num_rx_beams
+        stats, rho, num_tx_beams * num_rx_beams, reduction
     )
-    return beams_from_directions(V_real, eigvals, dims)
+    return replace(beams_from_directions(V_real, eigvals, dims), reduction=reduction[1])
 
 
 def baseline_beams(

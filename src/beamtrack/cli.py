@@ -1,6 +1,6 @@
 """Command-line front end: config parsing, experiment execution, file emission.
 
-Two subcommands:
+Three subcommands:
 
 * ``simulate`` runs the Monte Carlo experiment described by a flat
   ``key=value`` config file (keys match :class:`ScenarioConfig` field names,
@@ -10,6 +10,9 @@ Two subcommands:
   give byte-identical CSV output.  The CSVs are written run by run, one
   bounded block of fine steps at a time, so writing them needs no more
   memory for a large batch than for a small one.
+* ``sweep --seeds A-B`` runs the batch at each seed and prints acceptance
+  checks 6-8, locked paths and diverged runs per seed, then the seed means
+  (``seed_checks``); ``--set`` overrides apply to every seed.
 * ``selftest`` runs the numeric invariant suite (sigma-moment
   reconstruction, unscented-equals-Kalman on a linear map, Kronecker factor
   recovery) and prints a pass/fail table.  These are the checks of
@@ -20,7 +23,8 @@ emission.  Orchestration is single-threaded — run-level parallelism is
 delegated to :func:`run_many`, capped by the BEAMTRACK_THREADS env var.
 
 Exit codes: simulate — 0 success, 1 config error, 2 runtime error or every
-run diverged; selftest — 0 all checks pass, 3 any check fails.
+run diverged; sweep — 0 success, 1 config error, 2 runtime error; selftest —
+0 all checks pass, 3 any check fails.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -41,7 +46,13 @@ from .channel import ChannelState
 from .dynamics import DynamicsModel, build_transition
 from .errors import BadConfig, BeamtrackError
 from .numerics import KroneckerFactorDims
-from .simulate import RunRecord, ScenarioConfig, aggregate_runs, run_many
+from .simulate import (
+    RunRecord,
+    ScenarioConfig,
+    aggregate_runs,
+    median_and_quantiles,
+    run_many,
+)
 from .sounding import Observation, build_plan
 from .tracker import (
     SigmaSet,
@@ -363,6 +374,130 @@ def cmd_simulate(config_path: str | None = None, overrides=()) -> int:
     return 0
 
 
+# Acceptance checks 6-8 as tests/test_acceptance.py computes them: check 6
+# pools the fine steps from CHECK6_FROM_S on against CHECK6_TARGET, the
+# reference initial spread, and check 7 those after CHECK7_AFTER_S.
+CHECK6_FROM_S = 1e-3
+CHECK6_TARGET = math.sqrt(0.1)
+CHECK7_AFTER_S = 5e-4
+
+
+def _median(values: np.ndarray) -> float:
+    """Median of the non-NaN values, NaN if there are none."""
+    values = values[~np.isnan(values)]
+    return float(median_and_quantiles(values, ())[0]) if values.size else math.nan
+
+
+def seed_checks(cfg: ScenarioConfig, records: list) -> dict:
+    """Acceptance checks 6-8, locked paths and diverged runs of one batch of cfg.
+
+    Checks 6-8 pool the runs that did not diverge, as the acceptance tests
+    do: ``check6`` is the median transmit-side position error from 1 ms on,
+    ``tracked_db`` and ``oneshot_db`` are the two arms' median losses after
+    0.5 ms, and ``check8`` is the median prediction gain between soundings.
+    A transmit-side path is locked when its error at the run's last fine
+    step with an estimate is below half a beamwidth, 1/M_T (0.0625 at the
+    default 16 antennas); every run counts, diverged or not.  ``diverged``
+    lists the diverged runs' indices.
+    """
+    clean = [r for r in records if not r.diverged]
+    per = cfg.steps_per_period
+    locked = 0
+    for rec in records:
+        error = np.abs(rec.est_tx - rec.true_tx)
+        rows = np.flatnonzero(np.all(np.isfinite(error), axis=1))
+        if rows.size:
+            locked += int(np.sum(error[rows[-1]] < 1.0 / cfg.M_T))
+
+    def pooled(values) -> np.ndarray:
+        return np.concatenate([values(r).ravel() for r in clean]) if clean else np.zeros(0)
+
+    return {
+        "seed": cfg.seed,
+        "check6": _median(
+            pooled(lambda r: np.abs(r.est_tx - r.true_tx)[r.times >= CHECK6_FROM_S])
+        ),
+        "tracked_db": float(
+            _db(_median(pooled(lambda r: r.tracked_loss[r.times > CHECK7_AFTER_S])))
+        ),
+        "oneshot_db": float(
+            _db(_median(pooled(lambda r: r.oneshot_loss[r.times > CHECK7_AFTER_S])))
+        ),
+        "check8": _median(
+            pooled(lambda r: r.prediction_gain[np.arange(r.times.size) % per != 0])
+        ),
+        "locked": locked,
+        "paths": len(records) * cfg.L,
+        "diverged": [i for i, r in enumerate(records) if r.diverged],
+    }
+
+
+def _seed_range(text: str) -> range:
+    """Seeds from "A-B" (both included) or a single "A"."""
+    first, sep, last = text.partition("-")
+    try:
+        seeds = range(int(first), int(last if sep else first) + 1)
+    except ValueError:
+        raise BadConfig(f"seeds must be A-B or A, got {text!r}") from None
+    if not seeds or seeds.start < 0:
+        raise BadConfig(f"seeds must be nonnegative and ascending, got {text!r}")
+    return seeds
+
+
+def _flag(red: bool) -> str:
+    return " (red)" if red else ""
+
+
+def cmd_sweep(seeds: str, overrides=()) -> int:
+    """Runs the batch of each seed and prints checks 6-8 and locked paths; returns the exit code.
+
+    One line per seed, then the seed means of the checks and the total of
+    locked paths (``seed_checks``).  ``--set`` overrides apply to every
+    seed; the seed itself comes from ``seeds``.
+    """
+    try:
+        seed_list = _seed_range(seeds)
+        base = load_cli_config(None, overrides).scenario
+    except BeamtrackError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(
+        f"{'seed':>4}  {'check 6 (< %.4f)' % CHECK6_TARGET:<22}"
+        f"{'check 7: tracked vs one-shot':<34}{'check 8 (>= 1)':<22}{'locked':<10}diverged"
+    )
+    rows = []
+    start = time.perf_counter()
+    for seed in seed_list:
+        cfg = dataclasses.replace(base, seed=seed)
+        try:
+            row = seed_checks(cfg, run_many(cfg))
+        except BeamtrackError as exc:
+            print(f"runtime error at seed {seed}: {exc}", file=sys.stderr)
+            return 2
+        rows.append(row)
+        check7 = f"{row['tracked_db']:.2f} vs {row['oneshot_db']:.2f} dB"
+        print(
+            f"{seed:>4}  {row['check6']:.4f}{_flag(not row['check6'] < CHECK6_TARGET):<16}"
+            f"{check7 + _flag(not row['tracked_db'] > row['oneshot_db']):<34}"
+            f"{row['check8']:.6f}{_flag(not row['check8'] >= 1.0):<14}"
+            f"{row['locked']:>3}/{row['paths']:<6}"
+            f"{', '.join(map(str, row['diverged'])) or '-'}",
+            flush=True,
+        )
+
+    def mean(key):
+        return sum(row[key] for row in rows) / len(rows)
+
+    check7 = f"{mean('tracked_db'):.2f} vs {mean('oneshot_db'):.2f} dB"
+    print(
+        f"{'mean':>4}  {mean('check6'):<22.4f}{check7:<34}{mean('check8'):<22.6f}"
+        f"{sum(r['locked'] for r in rows):>3}/{sum(r['paths'] for r in rows):<6}"
+        f"{sum(len(r['diverged']) for r in rows)} runs"
+    )
+    print(f"sweep: {len(rows)} seeds in {time.perf_counter() - start:.1f}s")
+    return 0
+
+
 def _faulted(sigma: SigmaSet, fault: float) -> SigmaSet:
     """The sigma set with ``fault`` added to both zeroth weights."""
     bump = np.zeros_like(sigma.w_mean)
@@ -500,6 +635,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override one config key (repeatable; applied after --config)",
     )
+    sw = sub.add_parser(
+        "sweep", help="run the batch at each seed and print checks 6-8 and locked paths"
+    )
+    sw.add_argument("--seeds", required=True, metavar="A-B", help="seeds A to B, or one seed")
+    sw.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one config key (repeatable)",
+    )
     st = sub.add_parser("selftest", help="run the numeric invariant suite")
     st.add_argument(
         "--inject-fault",
@@ -513,6 +660,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "simulate":
         return cmd_simulate(args.config, args.overrides)
+    if args.command == "sweep":
+        return cmd_sweep(args.seeds, args.overrides)
     return cmd_selftest(inject_fault=args.inject_fault)
 
 

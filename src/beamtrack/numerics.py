@@ -220,15 +220,18 @@ def rank_one_factor(R: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     larger eigenvalue, so the pair is the top one even when the start has no
     component along it.
 
-    No call wakes a second BLAS thread.  Every product with ``R`` or with
-    the Lanczos basis is an ``np.einsum``, which calls no BLAS.  OpenBLAS
-    0.3.31 runs a complex gemv on a second thread once ``m n`` reaches 4096
-    (64 x 64 and 43 x 96 do, 63 x 64 and 42 x 96 do not), so ``R @ x`` on a
-    96-square rearrangement (``m n = 9216``) would wake that thread, and the
-    thread then spins until the next sounding, doubling an in-process run's
-    CPU time.  ``eigh`` of a tridiagonal wakes it from 26 x 26 on, hence
-    the restart.  So the fit runs on the calling thread and gives the same
-    bits at any BLAS thread count.
+    No call wakes a second BLAS thread.  OpenBLAS 0.3.31 runs a complex
+    gemv on a second thread once ``m n`` reaches 4096 (64 x 64 and 43 x 96
+    do, 63 x 64 and 42 x 96 do not), so ``R @ x`` on a 96-square
+    rearrangement (``m n = 9216``) in one call would wake that thread, and
+    the thread then spins until the next sounding, doubling an in-process
+    run's CPU time.  Every product with ``R`` is therefore a gemv per block
+    of rows below that size (``_product``: three blocks of at most 42 rows
+    at 96 columns), and the products with the Lanczos basis, at most
+    24 x 96 = 2304 entries, are single gemv calls.  ``eigh`` of a
+    tridiagonal wakes the thread from 26 x 26 on, hence the restart.  So the
+    fit runs on the calling thread and gives the same bits at any BLAS
+    thread count.
 
     Squaring ``R`` squares its condition, so when ``sigma_1 / sigma_2`` is
     close to one the vectors may mix the top two singular pairs.  The fit
@@ -265,9 +268,20 @@ _LANCZOS_RTOL = 1e-14
 _LANCZOS_BASIS = 24
 
 
+# Most entries of one gemv: OpenBLAS 0.3.31 hands a complex gemv to a second
+# thread from m n = 4096 on.
+_GEMV_ENTRIES = 4095
+
+
 def _product(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``M @ x`` without BLAS, so that no BLAS thread wakes for it."""
-    return np.einsum("ij,j->i", M, x)
+    """``M @ x`` as gemv over row blocks of fewer than 4096 entries.
+
+    No block is large enough for OpenBLAS to wake a second thread for it.
+    """
+    rows = max(1, _GEMV_ENTRIES // M.shape[1])
+    if M.shape[0] <= rows:
+        return M @ x
+    return np.concatenate([M[i : i + rows] @ x for i in range(0, M.shape[0], rows)])
 
 
 def _top_gram_vector(R: np.ndarray, Rh: np.ndarray) -> tuple[np.ndarray, float]:
@@ -306,8 +320,8 @@ def _top_gram_vector(R: np.ndarray, Rh: np.ndarray) -> tuple[np.ndarray, float]:
         w = w - T[k, k] * Q[k]
         if k:
             w = w - T[k, k - 1] * Q[k - 1]
-        along = np.einsum("ki,i->k", Q[: k + 1], w.conj()).conj()
-        w = w - np.einsum("k,ki->i", along, Q[: k + 1])
+        along = Q[: k + 1].conj() @ w
+        w = w - along @ Q[: k + 1]
         b = float(np.sqrt(np.vdot(w, w).real))
         invariant = b <= _LANCZOS_RTOL * T.diagonal().max() or k + 1 == m
         full = k + 1 == size
@@ -318,7 +332,7 @@ def _top_gram_vector(R: np.ndarray, Rh: np.ndarray) -> tuple[np.ndarray, float]:
             if invariant or last or b * abs(y[-1]) <= _LANCZOS_RTOL * theta:
                 break
         if full:
-            q = np.einsum("k,ki->i", y, Q)
+            q = y @ Q
             T[:] = 0.0
             k = 0
         else:
@@ -326,7 +340,7 @@ def _top_gram_vector(R: np.ndarray, Rh: np.ndarray) -> tuple[np.ndarray, float]:
             q = w
             k += 1
     basis = Q[: k + 1]
-    u = np.einsum("k,ki->i", y, basis)
+    u = y @ basis
     u = u / np.sqrt(np.vdot(u, u).real)
     if invariant:
         along = np.einsum("ki,ij->kj", basis.conj(), R)

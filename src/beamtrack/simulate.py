@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -51,6 +51,7 @@ from .tracker import (
     TrackerState,
     UkfParams,
     channel_statistics,
+    information_ratio,
     make_channel_fn,
     partial_noise_variances,
     predict,
@@ -79,9 +80,13 @@ MIN_BETA = 1e-150
 # sit 0.005 sd out, where the sigma transform reduces to a second-order
 # Taylor expansion of the steering phase and the channel covariance exceeds
 # any physically possible one 140-fold or more at the reference prior.  Each
-# measurement update runs in UPDATE_STEPS partial steps (see tracker.update).
+# measurement update runs in at most UPDATE_STEPS partial steps (see
+# tracker.update); ``update_steps`` picks the count of each sounding so that
+# the first step adds at most FIRST_STEP_INFORMATION of the prior's
+# information along any direction of the position block.
 FILTER_PARAMS = UkfParams(eta=0.2)
 UPDATE_STEPS = 20
+FIRST_STEP_INFORMATION = 0.1
 
 # Fine steps whose metrics are computed together.  It bounds the stacked
 # steering factors and their QR and eigensolver work arrays, so a long
@@ -227,6 +232,9 @@ class RunRecord:
     trace_wr: np.ndarray
     innovation_norms: np.ndarray
     diverged: bool = False
+    # Partial steps of each sounding's update, 0 where none was made; not
+    # written to the CSVs.
+    update_steps: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
 def _empty_record(cfg: ScenarioConfig) -> RunRecord:
@@ -244,15 +252,30 @@ def _empty_record(cfg: ScenarioConfig) -> RunRecord:
         obs_times=np.arange(n_obs) * cfg.T_S,
         trace_wr=np.full(n_obs, np.nan),
         innovation_norms=np.full(n_obs, np.nan),
+        update_steps=np.zeros(n_obs, dtype=int),
     )
 
 
 def generate_scenario(
     cfg: ScenarioConfig, rng: np.random.Generator
 ) -> tuple[ChannelState, TrackerState]:
-    """The true initial state, and the filter's start: a noisy estimate and its covariance."""
+    """The true initial state, and the filter's start: a noisy estimate and its covariance.
+
+    The initializer's velocity estimate N(v, r), with r = init_vel_var, is
+    fused with the model's speed prior N(0, p): a Rayleigh speed of scale
+    sigma_vdot with a random sign has mean 0 and variance p = 2 sigma_vdot^2.
+    Each velocity's mean becomes v p / (p + r) and its variance p r / (p + r);
+    with p + r = 0 the initializer's state is kept.
+    """
     truth = _draw_truth(cfg, rng)
-    return truth, TrackerState(_noisy_estimate(truth, cfg, rng), _initial_covariance(cfg))
+    estimate = _noisy_estimate(truth, cfg, rng)
+    R = _initial_covariance(cfg)
+    p, r = 2.0 * cfg.sigma_vdot**2, cfg.init_vel_var
+    if p + r > 0.0:
+        vel = np.arange(R.shape[0])[StateLayout.of(cfg.L).velocities]
+        estimate.x[vel] *= p / (p + r)
+        R[vel, vel] = p * r / (p + r)
+    return truth, TrackerState(estimate, R)
 
 
 def _draw_truth(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelState:
@@ -422,16 +445,38 @@ def _period_metrics(rec, start, X, x_held, x_oneshot, model, tx, rx) -> None:
             rec.prediction_gain[out][p:] = gain / np.maximum(held[p:], 1e-300)
 
 
-def sound(ts, x_true, cfg, rng) -> tuple[TrackerState, float]:
-    """One sounding of the closed loop: design beams from the prior, observe, update.
+def update_steps(R: np.ndarray, reduction: np.ndarray, cfg: ScenarioConfig) -> int:
+    """Partial steps for an update of the prior covariance R; at most UPDATE_STEPS.
 
-    The N_T x N_R beams come from the sigma statistics of the prior ``ts``
-    through ``design_beams``, the same at every period.  ``x_true`` is
-    observed through them with noise from ``rng``, and the update, at
-    FILTER_PARAMS in UPDATE_STEPS partial steps, reuses the sigma points.
-    Returns the posterior and the norm of the innovation against the
-    noiseless measurement of the prior's mean channel.
+    ``reduction`` is beam design's U^T B^-1 U, the covariance reduction of
+    measuring the whole channel (``beams.design_beams``).  Only the position
+    block makes the measurement nonlinear (gains enter linearly and
+    velocities not at all), so the count comes from that block.
+
+    * Acquisition takes the cap: some position's prior spread exceeds half a
+      beamwidth (1/M on its side) while the sounding at least doubles that
+      position's information.  The estimate may then have to move across
+      beams, which the cap's small first steps allow.
+    * Otherwise, with r the position block's information ratio
+      (``tracker.information_ratio``), N is the smallest count whose first
+      step, carrying 1/(2^N - 1) of the sounding's information, adds at most
+      FIRST_STEP_INFORMATION of the prior's along any position direction:
+      r / (2^N - 1) <= FIRST_STEP_INFORMATION.
     """
+    pp = StateLayout.of(cfg.L).positions
+    R_pp, C_pp = R[pp, pp], reduction[pp, pp]
+    spread, gained = np.diagonal(R_pp), np.diagonal(C_pp)
+    half_beam = np.repeat([1.0 / cfg.M_T, 1.0 / cfg.M_R], cfg.L)
+    if np.any((spread > half_beam**2) & (gained >= spread - gained)):
+        return UPDATE_STEPS
+    share = information_ratio(R_pp, C_pp) / FIRST_STEP_INFORMATION
+    if not share < 2.0**UPDATE_STEPS - 1.0:
+        return UPDATE_STEPS
+    return max(1, math.ceil(math.log2(share + 1.0)))
+
+
+def _sound(ts, x_true, cfg, rng) -> tuple[TrackerState, float, int]:
+    """``sound``, and the number of partial steps its update took."""
     tx, rx = cfg.arrays()
     channel_fn = make_channel_fn(cfg.L, tx, rx)
     sigma = sigma_points(ts.x_hat.x, ts.R, FILTER_PARAMS)
@@ -441,7 +486,24 @@ def sound(ts, x_true, cfg, rng) -> tuple[TrackerState, float]:
     obs = observe(plan, channel_fn(x_true[None])[0], cfg.rho, rng)
     innovation = float(np.linalg.norm(obs.y_real - noiseless_measurement(plan, stats.h_hat)))
     measure = observation_map(plan, cfg.L, tx, rx)
-    return update(ts, measure, obs, FILTER_PARAMS, sigma, steps=UPDATE_STEPS), innovation
+    steps = update_steps(ts.R, design.reduction, cfg)
+    return update(ts, measure, obs, FILTER_PARAMS, sigma, steps=steps), innovation, steps
+
+
+def sound(ts, x_true, cfg, rng) -> tuple[TrackerState, float]:
+    """One sounding of the closed loop: design beams from the prior, observe, update.
+
+    The N_T x N_R beams come from the sigma statistics of the prior ``ts``
+    through ``design_beams``, the same at every period.  ``x_true`` is
+    observed through them with noise from ``rng``, and the update, at
+    FILTER_PARAMS, reuses the sigma points.  It runs in ``update_steps``
+    partial steps, set from the design's covariance reduction: the cap
+    UPDATE_STEPS at acquisition, fewer once the paths are held.  Returns the
+    posterior and the norm of the innovation against the noiseless
+    measurement of the prior's mean channel.
+    """
+    posterior, innovation, _ = _sound(ts, x_true, cfg, rng)
+    return posterior, innovation
 
 
 def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
@@ -470,7 +532,7 @@ def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
 
         if k > 0:
             ts = predict(ts, tp_obs)
-        ts, rec.innovation_norms[k] = sound(ts, X[0], cfg, rng_obs)
+        ts, rec.innovation_norms[k], rec.update_steps[k] = _sound(ts, X[0], cfg, rng_obs)
         if _diverged(ts.x_hat.x):
             rec.diverged = True
             break
@@ -531,10 +593,11 @@ def run_many(cfg: ScenarioConfig, max_workers: int | None = None) -> list[RunRec
     Workers are fresh interpreters whose BLAS runs on one thread.  One worker
     per CPU already fills the machine, and a BLAS thread pool per worker on
     top of that would oversubscribe it whenever a call is large enough to
-    be split.  No run-path call is, since the Kronecker fit's products went
-    BLAS-free: four default runs on two workers (2 CPUs, OpenBLAS 0.3.31)
-    took 2.4-2.7 s wall pinned and 1.9-2.7 s with the default two BLAS
-    threads per worker.  While the fit still woke a second thread they took
+    be split.  No run-path call is, since the Kronecker fit's products were
+    cut below OpenBLAS's threading size (see ``numerics.rank_one_factor``):
+    four default runs on two workers (2 CPUs, OpenBLAS 0.3.31) then took
+    2.4-2.7 s wall pinned and 1.9-2.7 s with the default two BLAS threads
+    per worker.  While the fit still woke a second thread they took
     2.0-2.6 s pinned against 5.4-5.9 s unpinned, so the pinning stays for
     BLAS builds that split smaller calls.  BLAS reads its thread count
     when numpy loads, hence spawned rather than forked workers.  Scripts

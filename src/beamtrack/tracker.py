@@ -338,6 +338,25 @@ def partial_noise_variances(rho: float, steps: int) -> np.ndarray:
     return 1.0 / (2.0 * rho * fractions)
 
 
+def information_ratio(R: np.ndarray, reduction: np.ndarray) -> float:
+    """The most a measurement adds to a prior's information, as a multiple of it.
+
+    For the prior covariance R and a measurement that reduces it by C
+    (posterior R - C), this is ``lambda_max(R, R - C) - 1``: along the
+    direction the measurement informs most, the information it adds over
+    the prior's own.  With ``R = L L^T`` and mu the largest eigenvalue of
+    ``L^-1 C L^-T`` it is ``mu / (1 - mu)``, and infinite where mu reaches
+    one or R has no Cholesky factor.
+    """
+    try:
+        L = np.linalg.cholesky(R)
+    except np.linalg.LinAlgError:
+        return math.inf
+    W = np.linalg.solve(L, np.linalg.solve(L, reduction).T)
+    mu = float(np.linalg.eigvalsh((W + W.T) / 2.0)[-1])
+    return mu / (1.0 - mu) if mu < 1.0 else math.inf
+
+
 def update(
     prior: TrackerState,
     measure,
@@ -361,7 +380,10 @@ def update(
     prior, and each later step doubles the information and relinearizes
     closer in.  Equal fractions do not do this: 1/N of one sounding already
     shrinks a prior position spread of several beamwidths to a fraction of
-    one, and the remaining steps can no longer move the estimate.
+    one, and the remaining steps can no longer move the estimate.  The
+    closed loop sets N per sounding (``simulate.update_steps``): the whole
+    ladder at acquisition, and once the prior is narrow only as many steps
+    as keep the first one's information a small share of the prior's.
 
     Every step pushes its sigma points through ``measure`` and solves one
     (2n+1)-square system (see ``_partial_step``); the innovation covariance

@@ -19,9 +19,10 @@ from beamtrack.cli import (
     cmd_simulate,
     load_cli_config,
     main,
+    seed_checks,
 )
 from beamtrack.errors import BadConfig
-from beamtrack.simulate import RunRecord, ScenarioConfig, aggregate_runs, run_frame
+from beamtrack.simulate import RunRecord, ScenarioConfig, aggregate_runs, run_frame, run_many
 
 SMALL = [
     "L=1",
@@ -437,3 +438,52 @@ class TestSelftestCommand:
     def test_main_dispatch(self):
         assert main(["selftest"]) == 0
         assert main(["selftest", "--inject-fault"]) == 3
+
+
+SWEEP = ["L=2", "M_T=8", "M_R=8", "N_T=3", "N_R=3", "fine_step=1e-5", "num_runs=2"]
+
+
+class TestSweepCommand:
+    def test_checks_are_the_acceptance_formulas(self):
+        cfg = load_cli_config(None, SWEEP + ["seed=3"]).scenario
+        records = run_many(cfg, max_workers=1)
+        records[1].diverged = True  # left out of checks 6-8, counted for locking
+        records[1].est_tx[-7:] = np.nan
+        got = seed_checks(cfg, records)
+        clean = records[:1]
+        # Checks 6-8 as tests/test_acceptance.py writes them.
+        late = [r.times >= 1e-3 for r in clean]
+        error = np.concatenate(
+            [np.abs(r.est_tx[t] - r.true_tx[t]).ravel() for r, t in zip(clean, late)]
+        )
+        tracked = np.concatenate([r.tracked_loss[r.times > 5e-4] for r in clean])
+        oneshot = np.concatenate([r.oneshot_loss[r.times > 5e-4] for r in clean])
+        per = cfg.steps_per_period
+        gain = np.concatenate(
+            [r.prediction_gain[np.arange(r.times.shape[0]) % per != 0] for r in clean]
+        )
+        assert got["check6"] == float(np.nanmedian(error))
+        assert got["tracked_db"] == 10.0 * np.log10(np.nanmedian(tracked))
+        assert got["oneshot_db"] == 10.0 * np.log10(np.nanmedian(oneshot))
+        assert got["check8"] == float(np.nanmedian(gain))
+        # Locked: within half a beamwidth, 1/M_T, at the last step with an estimate.
+        last = [np.abs(records[0].est_tx[-1] - records[0].true_tx[-1]),
+                np.abs(records[1].est_tx[-8] - records[1].true_tx[-8])]
+        assert got["locked"] == int(np.sum(np.concatenate(last) < 1.0 / 8))
+        assert (got["paths"], got["diverged"], got["seed"]) == (4, [1], 3)
+
+    def test_prints_each_seed_and_the_means(self, capsys, monkeypatch):
+        monkeypatch.setenv("BEAMTRACK_THREADS", "1")
+        assert main(["sweep", "--seeds", "3-4", *(f"--set={s}" for s in SWEEP)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:4]] == ["3", "4", "mean"]
+        assert lines[-1].startswith("sweep: 2 seeds")
+
+    @pytest.mark.parametrize("seeds", ["4-3", "x", "-1", "1-"])
+    def test_bad_seed_range_exits_1(self, seeds, capsys):
+        assert main(["sweep", "--seeds", seeds]) == 1
+        assert "seeds" in capsys.readouterr().err
+
+    def test_bad_override_exits_1(self, capsys):
+        assert main(["sweep", "--seeds", "0", "--set", "L=0"]) == 1
+        assert "error" in capsys.readouterr().err

@@ -9,6 +9,7 @@ m x m matrix Pi + I/(2 rho), or G Pi G^T and an explicit inverse) and
 requires the factored kernels to agree with it.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +181,28 @@ def reference_first_sounding(run_index):
     return prior, sigma, measure, obs
 
 
+def written_out_steps(R, stats, cfg):
+    """simulate.update_steps from the dense moments of ``stats``.
+
+    C = R_xh B^-1 R_xh^T with B = Pi + I/(2 rho), by a dense solve.  A
+    position whose prior sd exceeds half a beamwidth, 1/M on its side, and
+    whose marginal information ratio C_jj / (R_jj - C_jj) is at least one
+    takes the cap.  Otherwise r = lambda_max((R - C)^-1 R) - 1 on the
+    position block, and N = min(cap, max(1, ceil(log2(r / kappa + 1)))).
+    """
+    B = stats.Pi + np.eye(stats.Pi.shape[0]) / (2.0 * cfg.rho)
+    C = stats.R_xh @ np.linalg.solve(B, stats.R_xh.T)
+    pp = StateLayout.of(cfg.L).positions
+    R_pp, C_pp = R[pp, pp], C[pp, pp]
+    var, gained = np.diagonal(R_pp), np.diagonal(C_pp)
+    half_beam = np.r_[np.full(cfg.L, 1.0 / cfg.M_T), np.full(cfg.L, 1.0 / cfg.M_R)]
+    if np.any((np.sqrt(var) > half_beam) & (gained / (var - gained) >= 1.0)):
+        return simulate.UPDATE_STEPS
+    r = np.max(np.linalg.eigvals(np.linalg.solve(R_pp - C_pp, R_pp)).real) - 1.0
+    n = math.ceil(math.log2(r / simulate.FIRST_STEP_INFORMATION + 1.0))
+    return min(simulate.UPDATE_STEPS, max(1, n))
+
+
 def solve_longdouble(A, B):
     """Gaussian elimination with partial pivoting, in the dtype of A and B."""
     A, B = A.copy(), B.copy()
@@ -285,8 +308,11 @@ class TestFactoredUpdate:
 
     def test_sound_is_the_first_sounding_written_out(self):
         prior, sigma, measure, obs = reference_first_sounding(0)
-        want = update(prior, measure, obs, FILTER_PARAMS, sigma, steps=simulate.UPDATE_STEPS)
         cfg = ScenarioConfig()
+        fn = make_channel_fn(cfg.L, ArrayGeometry(cfg.M_T), ArrayGeometry(cfg.M_R))
+        steps = written_out_steps(prior.R, channel_statistics(sigma, fn), cfg)
+        assert steps == simulate.UPDATE_STEPS  # the initializer's prior: acquisition
+        want = update(prior, measure, obs, FILTER_PARAMS, sigma, steps=steps)
         rng_scenario, _, rng_obs, _ = (
             np.random.default_rng(s) for s in np.random.SeedSequence([0, 0]).spawn(4)
         )
@@ -294,6 +320,26 @@ class TestFactoredUpdate:
         post, _ = simulate.sound(prior, truth.x, cfg, rng_obs)
         np.testing.assert_array_equal(post.x_hat.x, want.x_hat.x)
         np.testing.assert_array_equal(post.R, want.R)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_update_steps_is_the_rule_written_out(self, seed):
+        # A locked prior, where the rule's count comes from the information
+        # ratio, and the initializer's prior, where acquisition takes the cap.
+        cfg = ScenarioConfig()
+        tx, rx = ArrayGeometry(cfg.M_T), ArrayGeometry(cfg.M_R)
+        truth, initial = generate_scenario(cfg, np.random.default_rng(seed))
+        lay = StateLayout.of(cfg.L)
+        diag = np.empty(lay.size)
+        diag[lay.gain], diag[lay.positions], diag[lay.velocities] = 1e-3, 1e-4, 1e3
+        got = []
+        for prior in (TrackerState(truth, np.diag(diag)), initial):
+            sigma = sigma_points(prior.x_hat.x, prior.R, FILTER_PARAMS)
+            stats = channel_statistics(sigma, make_channel_fn(cfg.L, tx, rx))
+            design = design_beams(stats, tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
+            steps = simulate.update_steps(prior.R, design.reduction, cfg)
+            assert steps == written_out_steps(prior.R, stats, cfg)
+            got.append(steps)
+        assert 1 < got[0] < simulate.UPDATE_STEPS == got[1]
 
     def test_indefinite_innovation_raises(self):
         # Negative weights make G Pi G^T strongly indefinite, and the noise
@@ -424,7 +470,15 @@ class TestSharedSubspaceSolve:
         h_hat = w_mean @ zeta
         dz_w = (zeta - h_hat) * w_cov[:, None]
         Pi = dz_w.T @ (zeta - h_hat)
-        R_hx = dz_w.T @ (P - P[0])
+        # The state offsets the points actually carry, P - P[0], are not
+        # exact negatives in a +/- pair once rounded, so their weighted mean
+        # s is a rounding residue (about 5e-12 on a velocity offset of 0.4
+        # here), and the cross moment's columns for states the channel does
+        # not see are (zeta[0] - h_hat) s.  The factors sum s in float64;
+        # the reference takes that s in place of its long-double one.
+        offsets = P - P[0]
+        s = sigma.w_cov[1:] @ (sigma.points[1:] - sigma.points[0])
+        R_hx = dz_w.T @ offsets + np.outer(h_hat - zeta[0], w_cov[1:] @ offsets[1:] - s)
         for got, want in ((stats.E.T @ stats.J @ stats.E, Pi),
                           (stats.E.T @ stats.T, R_hx),
                           (stats.h_hat, h_hat)):

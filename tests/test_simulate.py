@@ -11,9 +11,13 @@ import numpy as np
 import pytest
 
 import beamtrack.sounding
+import beamtrack.tracker
+from beamtrack import simulate
+from beamtrack.beams import design_beams
 from beamtrack.channel import (
     ArrayGeometry,
     ChannelState,
+    StateLayout,
     channel_matrix,
     steering_factors,
     steering_vector,
@@ -22,7 +26,9 @@ from beamtrack.dynamics import advance_truth, build_transition
 from beamtrack.errors import BadConfig, EmptyInput, ZeroChannel
 from beamtrack.simulate import (
     DIVERGENCE_NORM,
+    FILTER_PARAMS,
     MIN_BETA,
+    UPDATE_STEPS,
     RunRecord,
     ScenarioConfig,
     _BLAS_THREAD_VARS,
@@ -39,9 +45,17 @@ from beamtrack.simulate import (
     run_many,
     snr_loss_ratio,
     sound,
+    update_steps,
 )
-from beamtrack.sounding import build_plan
-from beamtrack.tracker import predict
+from beamtrack.sounding import Observation, build_plan
+from beamtrack.tracker import (
+    TrackerState,
+    channel_statistics,
+    make_channel_fn,
+    predict,
+    sigma_points,
+    update,
+)
 
 
 def small_config(**overrides):
@@ -187,8 +201,11 @@ class TestGenerateScenario:
     def test_initial_covariance_layout(self):
         cfg = small_config(init_pos_var=0.1, init_vel_var=1e6, init_gain_var=0.01)
         _, prior = generate_scenario(cfg, np.random.default_rng(1))
+        # The velocity variance fuses init_vel_var with the speed prior
+        # 2 sigma_vdot^2 = 2e4: 2e4 * 1e6 / (2e4 + 1e6).
+        fused = 2e4 * 1e6 / (2e4 + 1e6)
         np.testing.assert_allclose(
-            np.diagonal(prior.R), [0.005, 0.005, 0.1, 1e6, 0.1, 1e6]
+            np.diagonal(prior.R), [0.005, 0.005, 0.1, fused, 0.1, fused]
         )
 
     def test_rayleigh_speed_magnitude(self):
@@ -385,6 +402,83 @@ class TestRunFrame:
         rec = run_frame(cfg, 0)
         assert rec.diverged
         assert np.any(np.isnan(rec.tracked_loss))
+
+
+def locked_prior(cfg, seed=0):
+    """A prior centred on a drawn truth, position spread a sixth of a beamwidth."""
+    truth, _ = generate_scenario(cfg, np.random.default_rng(seed))
+    lay = StateLayout.of(cfg.L)
+    diag = np.empty(lay.size)
+    diag[lay.gain], diag[lay.positions], diag[lay.velocities] = 1e-3, 1e-4, 1e3
+    return TrackerState(truth, np.diag(diag))
+
+
+def steps_for(cfg, prior):
+    """update_steps for prior, from the design sound would make."""
+    tx, rx = cfg.arrays()
+    sigma = sigma_points(prior.x_hat.x, prior.R, FILTER_PARAMS)
+    stats = channel_statistics(sigma, make_channel_fn(cfg.L, tx, rx))
+    design = design_beams(stats, tx, rx, cfg.rho, cfg.N_T, cfg.N_R)
+    return update_steps(prior.R, design.reduction, cfg)
+
+
+class TestUpdateSteps:
+    def test_record_counts_the_partial_steps_each_update_ran(self, monkeypatch):
+        ran = []
+        partial_step, run_update = beamtrack.tracker._partial_step, simulate.update
+
+        def counted_step(*args, **kwargs):
+            ran[-1] += 1
+            return partial_step(*args, **kwargs)
+
+        def counted_update(*args, **kwargs):
+            ran.append(0)
+            return run_update(*args, **kwargs)
+
+        monkeypatch.setattr(beamtrack.tracker, "_partial_step", counted_step)
+        monkeypatch.setattr(simulate, "update", counted_update)
+        rec = run_frame(ScenarioConfig(fine_step=1e-4, frame_length=1e-3), 0)
+        assert not rec.diverged
+        np.testing.assert_array_equal(rec.update_steps, ran)
+        assert rec.update_steps[0] == UPDATE_STEPS
+        assert rec.update_steps.min() < UPDATE_STEPS
+
+    def test_no_sounding_records_zero_steps(self):
+        rec = run_frame(small_config(q_upsilon=(1e30, 1e30)), 0)
+        assert rec.diverged
+        made = ~np.isnan(rec.trace_wr)
+        assert np.all(rec.update_steps[made] >= 1)
+        assert np.all(rec.update_steps[~made] == 0) and not np.all(made)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_initializer_prior_takes_the_cap(self, seed):
+        cfg = ScenarioConfig()
+        _, prior = generate_scenario(cfg, np.random.default_rng(seed))
+        assert steps_for(cfg, prior) == UPDATE_STEPS
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_locked_prior_takes_fewer_steps(self, seed):
+        cfg = ScenarioConfig()
+        assert 1 < steps_for(cfg, locked_prior(cfg, seed)) < UPDATE_STEPS
+
+    def test_rule_count_is_exact_kalman_on_a_linear_map(self):
+        cfg = ScenarioConfig()
+        prior = locked_prior(cfg)
+        steps = steps_for(cfg, prior)
+        assert 1 < steps < UPDATE_STEPS
+        rng = np.random.default_rng(8)
+        H = rng.standard_normal((72, prior.R.shape[0]))
+        y = H @ prior.x_hat.x + rng.standard_normal(72)
+        post = update(
+            prior, lambda X: X @ H.T, Observation(y, cfg.rho), FILTER_PARAMS, steps=steps
+        )
+        R = prior.R
+        S = H @ R @ H.T + np.eye(72) / (2.0 * cfg.rho)
+        gain = np.linalg.solve(S, H @ R).T
+        x_kf = prior.x_hat.x + gain @ (y - H @ prior.x_hat.x)
+        R_kf = R - gain @ H @ R
+        assert np.linalg.norm(post.x_hat.x - x_kf) <= 1e-9 * np.linalg.norm(x_kf)
+        assert np.linalg.norm(post.R - R_kf) <= 1e-9 * np.linalg.norm(R_kf)
 
 
 class TestRunFrameMatchesPerStepLoop:

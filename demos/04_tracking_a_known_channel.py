@@ -51,7 +51,7 @@ for k in range(cfg.num_observations):
         ts = predict(ts, tp)
 
     # Design this period's beams from the predicted statistics, sound, update.
-    ts, innovation = sound(ts, truth.x, cfg, rng)
+    ts, innovation, _ = sound(ts, truth.x, cfg, rng)
 
     pos_err = max(
         float(np.max(np.abs(ts.x_hat.tx_positions - truth.tx_positions))),

@@ -59,7 +59,8 @@ class BeamDesignOutput:
 
     ``used_fallback`` says no direction carried signal, so every beam is its
     DFT grid column.  ``reduction`` is the pencil's U^T B^-1 U from
-    ``design_beams`` (see ``whole_channel_reduction``), empty otherwise.
+    ``design_beams`` (see ``unconstrained_optimal_directions``), empty
+    otherwise.
     """
 
     F: np.ndarray
@@ -70,35 +71,9 @@ class BeamDesignOutput:
     reduction: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
 
-def whole_channel_reduction(
-    stats: ChannelStats, rho: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pencil's solve ``(Y, C)``, with C = U^T B^-1 U for the moments of ``stats``.
-
-    C, n x n in the state space, is the covariance reduction an update
-    would make if it measured the whole channel at SNR rho (noise variance
-    1/(2 rho) per real component); ``Y = K^-1 T`` gives B^-1 U = E^T Y.
-    Both come from one ``push_through_solve``.
-
-    Raises:
-        DimensionMismatch: E, J and T disagree in their leading dimension k.
-        NonpositiveSnr: ``rho <= 0``.
-        SingularB: B is not positive definite.
-    """
-    E, J, T = stats.E, stats.J, stats.T
-    k = E.shape[0]
-    if E.ndim != 2 or J.shape != (k, k) or T.ndim != 2 or T.shape[0] != k:
-        raise DimensionMismatch(
-            f"factor shapes E {E.shape}, J {J.shape}, T {T.shape} do not agree"
-        )
-    if rho <= 0.0:
-        raise NonpositiveSnr(f"snr must be positive, got {rho}")
-    return push_through_solve(stats, 1.0 / (2.0 * rho), check=True, error=SingularB)
-
-
 def unconstrained_optimal_directions(
-    stats: ChannelStats, rho: float, num_dirs: int, reduction=None
-) -> tuple[np.ndarray, np.ndarray]:
+    stats: ChannelStats, rho: float, num_dirs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top observation directions ignoring the Kronecker/unit-norm structure.
 
     Returns the leading min(num_dirs, n) generalized eigenvectors of the
@@ -113,11 +88,12 @@ def unconstrained_optimal_directions(
     directions are returned.  Each column's sign is fixed so that its
     largest-magnitude entry is positive.
 
-    Both come from ``whole_channel_reduction``, or from ``reduction`` when
-    that solve has already been made for these moments at this rho: with
+    Both come from ``push_through_solve`` on the factors: with
     Y = K^-1 T, B^-1 U = E^T Y and U^T B^-1 U = T^T E E^T Y.  B is positive
     definite exactly when det K > 0, for a core with at most one negative
-    eigenvalue; otherwise SingularB is raised.
+    eigenvalue; otherwise SingularB is raised.  U^T B^-1 U, n x n in the
+    state space, is returned third: the covariance reduction an update
+    would make if it measured the whole channel at SNR rho.
 
     Raises:
         DimensionMismatch: E, J and T disagree in their leading dimension k.
@@ -125,10 +101,18 @@ def unconstrained_optimal_directions(
         BadBeamCount: ``num_dirs < 1``.
         SingularB: B is not positive definite.
     """
+    E, J, T = stats.E, stats.J, stats.T
+    k = E.shape[0]
+    if E.ndim != 2 or J.shape != (k, k) or T.ndim != 2 or T.shape[0] != k:
+        raise DimensionMismatch(
+            f"factor shapes E {E.shape}, J {J.shape}, T {T.shape} do not agree"
+        )
+    if rho <= 0.0:
+        raise NonpositiveSnr(f"snr must be positive, got {rho}")
     if num_dirs < 1:
         raise BadBeamCount(f"need at least one direction, got {num_dirs}")
-    Y, C = whole_channel_reduction(stats, rho) if reduction is None else reduction
-    E = stats.E
+    c = 1.0 / (2.0 * rho)
+    Y, C = push_through_solve(stats, c, check=True, error=SingularB)
     w, Q = np.linalg.eigh((C + C.T) / 2.0)
     keep = min(num_dirs, w.shape[0])
     order = np.argsort(w)[::-1][:keep]
@@ -139,7 +123,7 @@ def unconstrained_optimal_directions(
     norms = np.linalg.norm(V, axis=0)
     V = V / np.where(norms > 0.0, norms, 1.0)
     peak = np.abs(V).argmax(axis=0)
-    return V * np.where(V[peak, np.arange(keep)] < 0.0, -1.0, 1.0), w[order]
+    return V * np.where(V[peak, np.arange(keep)] < 0.0, -1.0, 1.0), w[order], C
 
 
 def signal_rank(eigvals: np.ndarray) -> int:
@@ -349,11 +333,10 @@ def design_beams(
     dims = KroneckerFactorDims(
         tx.num_antennas, num_tx_beams, rx.num_antennas, num_rx_beams
     )
-    reduction = whole_channel_reduction(stats, rho)
-    V_real, eigvals = unconstrained_optimal_directions(
-        stats, rho, num_tx_beams * num_rx_beams, reduction
+    V_real, eigvals, reduction = unconstrained_optimal_directions(
+        stats, rho, num_tx_beams * num_rx_beams
     )
-    return replace(beams_from_directions(V_real, eigvals, dims), reduction=reduction[1])
+    return replace(beams_from_directions(V_real, eigvals, dims), reduction=reduction)
 
 
 def baseline_beams(

@@ -451,32 +451,33 @@ def update_steps(R: np.ndarray, reduction: np.ndarray, cfg: ScenarioConfig) -> i
     ``reduction`` is beam design's U^T B^-1 U, the covariance reduction of
     measuring the whole channel (``beams.design_beams``).  Only the position
     block makes the measurement nonlinear (gains enter linearly and
-    velocities not at all), so the count comes from that block.
-
-    * Acquisition takes the cap: some position's prior spread exceeds half a
-      beamwidth (1/M on its side) while the sounding at least doubles that
-      position's information.  The estimate may then have to move across
-      beams, which the cap's small first steps allow.
-    * Otherwise, with r the position block's information ratio
-      (``tracker.information_ratio``), N is the smallest count whose first
-      step, carrying 1/(2^N - 1) of the sounding's information, adds at most
-      FIRST_STEP_INFORMATION of the prior's along any position direction:
-      r / (2^N - 1) <= FIRST_STEP_INFORMATION.
+    velocities not at all), so the count comes from that block.  With r its
+    information ratio (``tracker.information_ratio``), N is the smallest
+    count whose first step, carrying 1/(2^N - 1) of the sounding's
+    information, adds at most FIRST_STEP_INFORMATION of the prior's along
+    any position direction: r / (2^N - 1) <= FIRST_STEP_INFORMATION.  A
+    wide prior, as at acquisition, gets the long ladder it needs to move the
+    estimate across beams; a held path gets a short one.
     """
     pp = StateLayout.of(cfg.L).positions
-    R_pp, C_pp = R[pp, pp], reduction[pp, pp]
-    spread, gained = np.diagonal(R_pp), np.diagonal(C_pp)
-    half_beam = np.repeat([1.0 / cfg.M_T, 1.0 / cfg.M_R], cfg.L)
-    if np.any((spread > half_beam**2) & (gained >= spread - gained)):
-        return UPDATE_STEPS
-    share = information_ratio(R_pp, C_pp) / FIRST_STEP_INFORMATION
+    share = information_ratio(R[pp, pp], reduction[pp, pp]) / FIRST_STEP_INFORMATION
     if not share < 2.0**UPDATE_STEPS - 1.0:
         return UPDATE_STEPS
     return max(1, math.ceil(math.log2(share + 1.0)))
 
 
-def _sound(ts, x_true, cfg, rng) -> tuple[TrackerState, float, int]:
-    """``sound``, and the number of partial steps its update took."""
+def sound(ts, x_true, cfg, rng) -> tuple[TrackerState, float, int]:
+    """One sounding of the closed loop: design beams from the prior, observe, update.
+
+    The N_T x N_R beams come from the sigma statistics of the prior ``ts``
+    through ``design_beams``, the same at every period.  ``x_true`` is
+    observed through them with noise from ``rng``, and the update, at
+    FILTER_PARAMS, reuses the sigma points.  It runs in ``update_steps``
+    partial steps, set from the design's covariance reduction: up to the cap
+    UPDATE_STEPS while the prior is wide, fewer once the paths are held.
+    Returns the posterior, the norm of the innovation against the noiseless
+    measurement of the prior's mean channel, and the update's step count.
+    """
     tx, rx = cfg.arrays()
     channel_fn = make_channel_fn(cfg.L, tx, rx)
     sigma = sigma_points(ts.x_hat.x, ts.R, FILTER_PARAMS)
@@ -488,22 +489,6 @@ def _sound(ts, x_true, cfg, rng) -> tuple[TrackerState, float, int]:
     measure = observation_map(plan, cfg.L, tx, rx)
     steps = update_steps(ts.R, design.reduction, cfg)
     return update(ts, measure, obs, FILTER_PARAMS, sigma, steps=steps), innovation, steps
-
-
-def sound(ts, x_true, cfg, rng) -> tuple[TrackerState, float]:
-    """One sounding of the closed loop: design beams from the prior, observe, update.
-
-    The N_T x N_R beams come from the sigma statistics of the prior ``ts``
-    through ``design_beams``, the same at every period.  ``x_true`` is
-    observed through them with noise from ``rng``, and the update, at
-    FILTER_PARAMS, reuses the sigma points.  It runs in ``update_steps``
-    partial steps, set from the design's covariance reduction: the cap
-    UPDATE_STEPS at acquisition, fewer once the paths are held.  Returns the
-    posterior and the norm of the innovation against the noiseless
-    measurement of the prior's mean channel.
-    """
-    posterior, innovation, _ = _sound(ts, x_true, cfg, rng)
-    return posterior, innovation
 
 
 def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
@@ -532,7 +517,7 @@ def run_frame(cfg: ScenarioConfig, run_index: int = 0) -> RunRecord:
 
         if k > 0:
             ts = predict(ts, tp_obs)
-        ts, rec.innovation_norms[k], rec.update_steps[k] = _sound(ts, X[0], cfg, rng_obs)
+        ts, rec.innovation_norms[k], rec.update_steps[k] = sound(ts, X[0], cfg, rng_obs)
         if _diverged(ts.x_hat.x):
             rec.diverged = True
             break

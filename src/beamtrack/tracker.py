@@ -381,9 +381,10 @@ def update(
     closer in.  Equal fractions do not do this: 1/N of one sounding already
     shrinks a prior position spread of several beamwidths to a fraction of
     one, and the remaining steps can no longer move the estimate.  The
-    closed loop sets N per sounding (``simulate.update_steps``): the whole
-    ladder at acquisition, and once the prior is narrow only as many steps
-    as keep the first one's information a small share of the prior's.
+    closed loop sets N per sounding (``simulate.update_steps``): as many
+    steps as keep the first one's information a small share of the prior's
+    along the positions, so a long ladder for a wide prior and a short one
+    once the paths are held.
 
     Every step pushes its sigma points through ``measure`` and solves one
     (2n+1)-square system (see ``_partial_step``); the innovation covariance

@@ -77,7 +77,7 @@ class TestUnconstrainedOptimalDirections:
     def test_zero_cross_covariance_means_zero_eigenvalues(self):
         rng = np.random.default_rng(70)
         stats = design_input(rng, R_xh=np.zeros((6, 16)))
-        _, eigvals = unconstrained_optimal_directions(stats, RHO, 4)
+        _, eigvals, _ = unconstrained_optimal_directions(stats, RHO, 4)
         np.testing.assert_allclose(eigvals, 0.0, atol=1e-12)
 
     def test_single_row_gives_matched_direction(self):
@@ -86,7 +86,7 @@ class TestUnconstrainedOptimalDirections:
         R_xh = np.zeros((6, 16))
         R_xh[2] = r
         stats = design_input(rng, R_xh=R_xh)
-        V, eigvals = unconstrained_optimal_directions(stats, RHO, 4)
+        V, eigvals, _ = unconstrained_optimal_directions(stats, RHO, 4)
         cos = abs(V[:, 0] @ r) / (np.linalg.norm(V[:, 0]) * np.linalg.norm(r))
         assert cos > 1.0 - 1e-10
         np.testing.assert_allclose(eigvals[0], 2.0 * RHO * (r @ r), rtol=1e-10)
@@ -97,8 +97,8 @@ class TestUnconstrainedOptimalDirections:
         # eigenvectors at every SNR, and the eigenvalues scale with rho.
         rng = np.random.default_rng(73)
         stats = design_input(rng)
-        V1, w1 = unconstrained_optimal_directions(stats, 1.0, 4)
-        V, w = unconstrained_optimal_directions(stats, 1e-300, 4)
+        V1, w1, _ = unconstrained_optimal_directions(stats, 1.0, 4)
+        V, w, _ = unconstrained_optimal_directions(stats, 1e-300, 4)
         np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, rtol=1e-14)
         np.testing.assert_allclose(V, V1, atol=1e-12)
         np.testing.assert_allclose(w, 1e-300 * w1, rtol=1e-12)
@@ -108,7 +108,7 @@ class TestUnconstrainedOptimalDirections:
         M = rng.standard_normal((16, 16))
         Pi = M @ M.T / 16.0
         stats = design_input(rng, Pi=Pi)
-        V, eigvals = unconstrained_optimal_directions(stats, RHO, 4)
+        V, eigvals, _ = unconstrained_optimal_directions(stats, RHO, 4)
         A = stats.T @ stats.T.T
         B = Pi + np.eye(16) / (2.0 * RHO)
         resid = np.linalg.norm(A @ V - B @ V @ np.diag(eigvals))
@@ -158,13 +158,13 @@ class TestSignalSubspace:
 
     def test_signal_rank_counts_nonround_off_eigenvalues(self):
         rng = np.random.default_rng(90)
-        _, eigvals = unconstrained_optimal_directions(self.rank_two_input(rng), RHO, 4)
+        _, eigvals, _ = unconstrained_optimal_directions(self.rank_two_input(rng), RHO, 4)
         assert signal_rank(eigvals) == 2
         assert signal_rank(np.zeros(3)) == 0
 
     def test_rotating_null_directions_leaves_beams_unchanged(self):
         rng = np.random.default_rng(91)
-        V, eigvals = unconstrained_optimal_directions(self.rank_two_input(rng), RHO, 4)
+        V, eigvals, _ = unconstrained_optimal_directions(self.rank_two_input(rng), RHO, 4)
         dims = KroneckerFactorDims(4, 2, 4, 2)
         Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         rotated = V.copy()
@@ -178,7 +178,7 @@ class TestSignalSubspace:
         # Two signal directions reach transmit beams 0 and 1; beam 2 takes
         # the grid column.
         rng = np.random.default_rng(92)
-        V, eigvals = unconstrained_optimal_directions(self.rank_two_input(rng), RHO, 6)
+        V, eigvals, _ = unconstrained_optimal_directions(self.rank_two_input(rng), RHO, 6)
         out = beams_from_directions(V, eigvals, KroneckerFactorDims(4, 3, 4, 2))
         grid = baseline_beams("dft_grid", 4, 3)
         np.testing.assert_allclose(out.F[:, 2], grid[:, 2], atol=1e-15)
@@ -214,7 +214,7 @@ class TestSignalSubspace:
     def test_matches_dense_generalized_eigensolver(self):
         rng = np.random.default_rng(93)
         stats = self.rank_two_input(rng)
-        V, eigvals = unconstrained_optimal_directions(stats, RHO, 4)
+        V, eigvals, _ = unconstrained_optimal_directions(stats, RHO, 4)
         A = stats.T @ stats.T.T
         B = stats.E.T @ stats.J @ stats.E + np.eye(32) / (2.0 * RHO)
         w, U = generalized_eig_sym(A, B, 2)
@@ -405,9 +405,8 @@ class TestDesignBeams:
 
         def weighted(W):
             scaled = replace(stats, T=stats.T / np.sqrt(W))
-            return beams_from_directions(
-                *unconstrained_optimal_directions(scaled, RHO, 4), dims
-            )
+            V, eigvals, _ = unconstrained_optimal_directions(scaled, RHO, 4)
+            return beams_from_directions(V, eigvals, dims)
 
         a = weighted(np.ones(6))
         b = weighted(5.0 * np.ones(6))

@@ -117,7 +117,7 @@ def per_step_reference(cfg, run_index=0) -> RunRecord:
             k = i // per_obs
             if k > 0:
                 ts = predict(ts, tp_obs)
-            ts, rec.innovation_norms[k] = sound(ts, truth.x, cfg, rng_obs)
+            ts, rec.innovation_norms[k], _ = sound(ts, truth.x, cfg, rng_obs)
             if not healthy(ts.x_hat.x):
                 rec.diverged = True
                 break
@@ -440,8 +440,7 @@ class TestUpdateSteps:
         rec = run_frame(ScenarioConfig(fine_step=1e-4, frame_length=1e-3), 0)
         assert not rec.diverged
         np.testing.assert_array_equal(rec.update_steps, ran)
-        assert rec.update_steps[0] == UPDATE_STEPS
-        assert rec.update_steps.min() < UPDATE_STEPS
+        assert rec.update_steps[0] > rec.update_steps[1:].max()
 
     def test_no_sounding_records_zero_steps(self):
         rec = run_frame(small_config(q_upsilon=(1e30, 1e30)), 0)
@@ -451,15 +450,11 @@ class TestUpdateSteps:
         assert np.all(rec.update_steps[~made] == 0) and not np.all(made)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_initializer_prior_takes_the_cap(self, seed):
+    def test_locked_prior_takes_fewer_steps_than_the_initializers(self, seed):
         cfg = ScenarioConfig()
-        _, prior = generate_scenario(cfg, np.random.default_rng(seed))
-        assert steps_for(cfg, prior) == UPDATE_STEPS
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_locked_prior_takes_fewer_steps(self, seed):
-        cfg = ScenarioConfig()
-        assert 1 < steps_for(cfg, locked_prior(cfg, seed)) < UPDATE_STEPS
+        _, initial = generate_scenario(cfg, np.random.default_rng(seed))
+        locked = steps_for(cfg, locked_prior(cfg, seed))
+        assert 1 < locked < steps_for(cfg, initial) <= UPDATE_STEPS
 
     def test_rule_count_is_exact_kalman_on_a_linear_map(self):
         cfg = ScenarioConfig()

@@ -8,17 +8,17 @@ interleaves sounding/updating at 0.1 ms with fine-grained metrics at 1 us.
 Each path either stays locked or is lost, and the per-run numbers below show
 both.  At seed 0, all eight runs beat one-shot estimation.  Pooled over the
 runs and their fine steps, as `aggregate_runs` and summary.json pool them,
-the median loss is -0.82 dB tracked against -13.85 dB one-shot, and the
-median prediction-gain ratio is 1.000079.  Six of the eight runs keep
-their median position error under the initial spread.  The other two have at least one
-lost path.  Most lost paths start further off than the recursive
+the median loss is -0.33 dB tracked against -13.85 dB one-shot, and the
+median prediction-gain ratio is 1.000111.  Seven of the eight runs keep
+their median position error under the initial spread, 0.316.  The other
+one has at least one lost path.  Most lost paths start further off than the recursive
 measurement update can bridge (about 1.5 beamwidths) and are never found.
 A few are found and then lost over the next soundings while their velocity
 is still unknown: the gain estimate decays towards zero and the position
 drifts with the wrong velocity.  The README gives the batch-level numbers
 and how they move with the seed.
 
-Runtime: about 4.5 s at 8 runs on two CPUs.  The `beamtrack simulate` CLI
+Runtime: about 3.5 s at 8 runs on two CPUs.  The `beamtrack simulate` CLI
 writes the same metrics for any run count to CSV/JSON for external plotting.
 """
 

@@ -14,22 +14,15 @@ signal at all every beam does.  The same grid serves as the non-adaptive
 control arm.
 
 ``design_beams`` takes the prior's sigma moments as the tracker computed
-them (``tracker.ChannelStats``), so this module draws no sigma points of its
-own, and weights every state component equally.  A state weighting W is a
-column scaling of the moments' state factor, ``T / sqrt(W)``, and dense
-moments are the factors (I, Pi, R_xh^T); ``unconstrained_optimal_directions``
-solves the pencil on either.
-
-The pencil is solved in the sigma-point subspace, with the update's own
-push-through system (``tracker.push_through_solve``).  The moments come
-factored as Pi = E^T J E and R_xh = T^T E; from sigma statistics E holds the
-2n+1 weighted differences from the centre image and J is their sign core.
-With K = c I + J E E^T and c = 1/(2 rho), B^-1 U = E^T K^-1 T and
-U^T B^-1 U = T^T E E^T K^-1 T: one (2n+1)-square solve, and nothing in
-channel space is factored.  U^T B^-1 U is the covariance reduction the
-update would make if it measured the whole channel at the sounding's SNR;
-``design_beams`` returns it with the beams, and the closed loop sets the
-update's partial-step count from it.
+them, factored (``tracker.ChannelStats``, which also gives the factors of
+dense moments and of a state weighting), so this module draws no sigma
+points of its own, and weights every state component equally.  The pencil
+is solved in the factors' subspace with the update's own system
+(``tracker.push_through_solve``), so nothing in channel space is factored.
+Its U^T B^-1 U is the covariance reduction the update would make if it
+measured the whole channel at the sounding's SNR; ``design_beams`` returns
+it with the beams, and the closed loop sets the update's partial-step count
+from it.
 """
 
 from __future__ import annotations
@@ -88,12 +81,11 @@ def unconstrained_optimal_directions(
     directions are returned.  Each column's sign is fixed so that its
     largest-magnitude entry is positive.
 
-    Both come from ``push_through_solve`` on the factors: with
-    Y = K^-1 T, B^-1 U = E^T Y and U^T B^-1 U = T^T E E^T Y.  B is positive
-    definite exactly when det K > 0, for a core with at most one negative
-    eigenvalue; otherwise SingularB is raised.  U^T B^-1 U, n x n in the
-    state space, is returned third: the covariance reduction an update
-    would make if it measured the whole channel at SNR rho.
+    Both come from ``push_through_solve`` on the factors at noise
+    c = 1/(2 rho): with Y = K^-1 T, B^-1 U = E^T Y and U^T B^-1 U =
+    T^T E E^T Y.  U^T B^-1 U, n x n in the state space, is returned third:
+    the covariance reduction an update would make if it measured the whole
+    channel at SNR rho.
 
     Raises:
         DimensionMismatch: E, J and T disagree in their leading dimension k.
@@ -112,7 +104,7 @@ def unconstrained_optimal_directions(
     if num_dirs < 1:
         raise BadBeamCount(f"need at least one direction, got {num_dirs}")
     c = 1.0 / (2.0 * rho)
-    Y, C = push_through_solve(stats, c, check=True, error=SingularB)
+    Y, C = push_through_solve(stats, c, error=SingularB)
     w, Q = np.linalg.eigh((C + C.T) / 2.0)
     keep = min(num_dirs, w.shape[0])
     order = np.argsort(w)[::-1][:keep]

@@ -54,14 +54,7 @@ from .simulate import (
     run_many,
 )
 from .sounding import Observation, build_plan
-from .tracker import (
-    SigmaSet,
-    TrackerState,
-    UkfParams,
-    predict,
-    sigma_points,
-    update,
-)
+from .tracker import TrackerState, UkfParams, predict, sigma_points, update
 
 CSV_SCHEMA = "# beamtrack-csv v1"
 ARMS = ("tracked", "one_shot", "predicted")
@@ -498,20 +491,14 @@ def cmd_sweep(seeds: str, overrides=()) -> int:
     return 0
 
 
-def _faulted(sigma: SigmaSet, fault: float) -> SigmaSet:
-    """The sigma set with ``fault`` added to both zeroth weights."""
-    bump = np.zeros_like(sigma.w_mean)
-    bump[0] = fault
-    return SigmaSet(sigma.points, sigma.w_mean + bump, sigma.w_cov + bump)
-
-
 def check_sigma_moments(fault: float = 0.0) -> float:
     """Max reconstruction error of 50 seeded dim-24 means and covariances.
 
     The textbook reconstruction runs on the set's points and weights cast to
     ``np.longdouble``.  At the default eta the centre weight is about -1e6,
     so in float64 the check's own cancellation costs about six digits and
-    would hide the error of the set itself.
+    would hide the error of the set itself.  ``fault`` is added to both
+    zeroth weights the reconstruction uses.
     """
     params = UkfParams()
     worst = 0.0
@@ -521,9 +508,12 @@ def check_sigma_moments(fault: float = 0.0) -> float:
         x = rng.standard_normal(n)
         A = rng.standard_normal((n, n))
         R = A @ A.T / n
-        sigma = _faulted(sigma_points(x, R, params), fault)
-        points = sigma.points.astype(np.longdouble)
-        w_mean, w_cov = sigma.w_mean.astype(np.longdouble), sigma.w_cov.astype(np.longdouble)
+        sigma = sigma_points(x, R, params)
+        points, w_mean, w_cov = (
+            a.astype(np.longdouble) for a in (sigma.points, sigma.w_mean, sigma.w_cov)
+        )
+        w_mean[0] += fault
+        w_cov[0] += fault
         mean = w_mean @ points
         dev = points - mean
         cov = (dev * w_cov[:, None]).T @ dev
@@ -542,7 +532,11 @@ def _kalman_update(x, R, H, y_vec, noise_var):
 
 
 def check_ukf_matches_kf(fault: float = 0.0) -> float:
-    """Max deviation from the exact Kalman filter on a linear map, 100 steps."""
+    """Max deviation from the exact Kalman filter on a linear map, 100 steps.
+
+    ``fault`` scales the eta the sigma points are drawn at by ``1 + fault``,
+    which ``update`` refuses.
+    """
     rng = np.random.default_rng(101)
     dft2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     plan = build_plan(dft2.astype(complex), dft2.astype(complex))
@@ -562,7 +556,7 @@ def check_ukf_matches_kf(fault: float = 0.0) -> float:
         x_kf, R_kf = tp.A @ x_kf, tp.A @ R_kf @ tp.A.T + tp.Q
         y_vec = rng.standard_normal(8)
         obs = Observation(y_real=y_vec, snr_rho=rho)
-        sigma = _faulted(sigma_points(ts.x_hat.x, ts.R, params), fault)
+        sigma = sigma_points(ts.x_hat.x, ts.R, UkfParams(params.eta * (1.0 + fault)))
         ts = update(ts, measure, obs, params, sigma=sigma)
         x_kf, R_kf = _kalman_update(x_kf, R_kf, H, y_vec, 1.0 / (2.0 * rho))
         worst = max(
@@ -606,7 +600,7 @@ def cmd_selftest(inject_fault: bool = False) -> int:
     for name, check, tol in _SELFTEST_CHECKS:
         try:
             err = check(fault)
-        except BeamtrackError:  # e.g. update rejects faulted sigma weights
+        except BeamtrackError:  # e.g. update refuses a set drawn at other parameters
             err = float("inf")
         ok = err <= tol
         failures += not ok
@@ -651,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument(
         "--inject-fault",
         action="store_true",
-        help="perturb internal weights to verify the suite detects faults",
+        help="perturb sigma weights and parameters to verify the suite detects faults",
     )
     return parser
 

@@ -65,11 +65,7 @@ class IndefiniteCovariance(BeamtrackError):
 
 
 class BadScaling(BeamtrackError):
-    """Sigma-point scaling parameters are invalid (n + lambda <= 0)."""
-
-
-class SingularInnovation(BeamtrackError):
-    """The innovation covariance is not positive definite."""
+    """Sigma scaling is invalid (n + lambda <= 0 or beta < 0) or not the update's own."""
 
 
 # --- beam design ---

@@ -199,9 +199,9 @@ def rank_one_factor(R: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     of unit 2-norm and ``s = sigma_1(R)``, so ``s * outer(u, conj(v))`` is the
     Frobenius-nearest rank-one matrix to ``R``.
 
-    The dominant vector of the smaller side is the top eigenvector of the
-    smaller Gram matrix ``A`` (``R R^H`` or ``R^H R``); one product with
-    ``R`` gives ``s`` and the other vector.  That eigenvector comes from
+    A tall ``R`` is factored as ``R^H``, with the factors swapped, so ``u``
+    is the top eigenvector of the smaller Gram matrix ``A = R R^H``; one
+    product with ``R^H`` gives ``s`` and ``v``.  That eigenvector comes from
     Lanczos on ``A``, applied as ``R (R^H x)``: ``A`` is never formed, and
     no eigensolver or factorization touches a matrix of its size, only the
     k x k Lanczos tridiagonal.  Every new Lanczos vector is orthogonalized
@@ -246,17 +246,15 @@ def rank_one_factor(R: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         raise DimensionMismatch(f"expected a matrix, got shape {R.shape}")
     if not np.any(R):
         raise ZeroMatrix("cannot factor the zero matrix")
+    if R.shape[0] > R.shape[1]:
+        v, s, u = rank_one_factor(R.conj().T)
+        return u, s, v
     R = np.ascontiguousarray(R, dtype=np.result_type(R, 1.0))
     Rh = np.ascontiguousarray(R.conj().T)
-    if R.shape[0] <= R.shape[1]:
-        u = _top_gram_vector(R, Rh)[0]
-        sv = _product(Rh, u)
-        s = float(np.linalg.norm(sv))
-        return u, s, sv / s
-    v = _top_gram_vector(Rh, R)[0]
-    su = _product(R, v)
-    s = float(np.linalg.norm(su))
-    return su / s, s, v
+    u = _top_gram_vector(R, Rh)[0]
+    sv = _product(Rh, u)
+    s = float(np.linalg.norm(sv))
+    return u, s, sv / s
 
 
 # Lanczos stops once the top Ritz pair's residual is this small relative to

@@ -14,27 +14,21 @@ and so the measurement map, exist), and finally ``update`` with the same
 prior sigma points, so the covariance root is computed once per period.  The
 measurement noise comes from the observation's own SNR.
 
-The sigma moments are kept factored, in one type, ``ChannelStats``.  With
-2n+1 sigma points, their images ``zeta`` and their differences from the
-centre point, the covariance of the images is ``E^T J E`` and the state
-cross-covariance ``T^T E``: rank at most 2n+1 in a channel space of
-2*M_R*M_T real dimensions, and no negative weight multiplies a deviation.
-Adding noise ``c I`` to such a covariance and solving against it takes one
-(2n+1)-square system, ``push_through_solve``.  That one kernel serves both
-consumers of the prior's sigma points:
+The sigma moments are kept factored (``ChannelStats``), and both consumers
+of the prior's sigma points solve against them with one kernel,
+``push_through_solve``: beam design (``beams``) for its pencil, on the
+moments of ``channel_statistics``, and each partial step of the update for
+its gain, on the same moments of a batched state-to-measurement map
+(``sounding.observation_map`` on the run path).  Neither forms a matrix of
+the channel's or the measurement's dimension.
 
-* beam design (``beams``) solves its pencil through it, on the moments of
-  ``channel_statistics``, so nothing in channel space is factored and the
-  dense covariance is never formed on the run path (``ChannelStats.Pi`` and
-  ``ChannelStats.R_xh`` build them on demand);
-* the update builds the same moments, with the same helper, from a batched
-  state-to-measurement map (``sounding.observation_map`` on the run path);
-  each partial step solves one (2n+1)-square system, and the
-  2*N_T*N_R-square innovation covariance is never formed.
-
-All linear algebra here is numpy's, so one BLAS library serves the loop.
-Each partial step of the update factors its posterior once: the Cholesky
-factor of ``(n + lambda) R`` checks it and roots the next step's sigma points.
+The transform is the scaled one, at a spread eta up to about sqrt(2), where
+the weight of its mean-shift term (``_beta``) is still nonnegative; a larger
+eta, or a sigma set drawn at parameters other than the update's, is refused
+(``BadScaling``).  All linear algebra here is numpy's, so one BLAS library
+serves the loop.  Each partial step of the update factors its posterior
+once: the Cholesky factor of ``(n + lambda) R`` checks it and roots the
+next step's sigma points.
 """
 
 from __future__ import annotations
@@ -46,21 +40,12 @@ import numpy as np
 
 from .channel import ArrayGeometry, ChannelState, real_channel_vectors
 from .dynamics import TransitionPair, advance_covariance
-from .errors import (
-    BadScaling,
-    DimensionMismatch,
-    IndefiniteCovariance,
-    IndefiniteMatrix,
-    SingularInnovation,
-)
+from .errors import BadScaling, DimensionMismatch, IndefiniteCovariance, IndefiniteMatrix
 from .numerics import matrix_sqrt_psd
 from .sounding import Observation
 
-# Fixed constants of the scaled unscented transform: the secondary scaling
-# kappa, which enters lambda = eta^2 (n + kappa) - n, and the prior-
-# distribution parameter mu, which enters only the zeroth covariance weight
-# (2 is optimal for a Gaussian prior).
-KAPPA = 0.0
+# The prior-distribution parameter of the scaled unscented transform, which
+# enters only the zeroth covariance weight (2 is optimal for a Gaussian prior).
 MU = 2.0
 
 
@@ -69,13 +54,15 @@ class UkfParams:
     """Sigma-point scaling parameters.
 
     Attributes:
-        eta: Spread of the sigma points around the mean.
+        eta: Spread of the sigma points around the mean, at most about
+            sqrt(2): ``sigma_points`` and ``update`` refuse one whose
+            mean-shift weight beta is negative (``_sigma_scale``).
     """
 
     eta: float = 1e-3
 
     def lam(self, dim: int) -> float:
-        return self.eta**2 * (dim + KAPPA) - dim
+        return self.eta**2 * dim - dim
 
 
 @dataclass(frozen=True)
@@ -88,11 +75,18 @@ class TrackerState:
 
 @dataclass(frozen=True)
 class SigmaSet:
-    """Symmetric sigma points (rows) with their mean and covariance weights."""
+    """Symmetric sigma points (rows) and the parameters they were drawn at."""
 
     points: np.ndarray
-    w_mean: np.ndarray
-    w_cov: np.ndarray
+    params: UkfParams
+
+    @property
+    def w_mean(self) -> np.ndarray:
+        return _sigma_weights(self.points.shape[1], self.params)[0]
+
+    @property
+    def w_cov(self) -> np.ndarray:
+        return _sigma_weights(self.points.shape[1], self.params)[1]
 
 
 @dataclass(frozen=True)
@@ -101,29 +95,30 @@ class ChannelStats:
 
     The moments are the mean ``h_hat``, the covariance ``Pi = E^T J E`` and
     the state cross-covariance ``R_xh = T^T E``, for ``E`` of shape k x m,
-    a symmetric k-square core ``J`` with at most one negative eigenvalue and
-    ``T`` of shape k x n.  Both solves take their moments in this form
-    (``push_through_solve``).  Dense moments are the factors ``E = I``,
-    ``J = Pi``, ``T = R_xh^T``; a state weighting W, as in A = R_xh^T W^-1
-    R_xh, is the column scaling ``T / sqrt(W)``.
+    a symmetric k-square core ``J`` and ``T`` of shape k x n.  Both solves
+    take their moments in this form (``push_through_solve``).  Dense
+    moments are the factors ``E = I``, ``J = Pi``, ``T = R_xh^T``; a state
+    weighting W, as in A = R_xh^T W^-1 R_xh, is the column scaling
+    ``T / sqrt(W)``.
 
     From the images ``zeta`` of 2n+1 sigma points, with ``Z = zeta[1:] -
     zeta[0]``, the points' differences ``dX`` from the centre point, the
     outer weights ``w``, ``m = w Z`` and ``s = w dX``, the factors are
 
-        ``E = [sqrt(w) Z; sqrt|beta| m]``, ``J = diag(1, ..., sign beta)``,
+        ``E = [sqrt(w) Z; sqrt(beta) m]``, ``J = I``,
         ``T = [sqrt(w) (dX - s); 0]``,
 
-    where ``beta`` is the sum of the covariance weights less two.  These
-    are exactly the sigma-weighted moments, ``h_hat = zeta[0] + m`` and the
-    deviations of the state taken from the centre point (``s`` is zero for
-    a symmetric set, up to the rounding of its points).  No negative weight
-    multiplies a deviation.
+    where ``beta >= 0`` is the weight of the mean-shift term (``_beta``).
+    These are exactly the sigma-weighted moments, ``h_hat = zeta[0] + m``
+    and the deviations of the state taken from the centre point (``s`` is
+    zero for a symmetric set, up to the rounding of its points).  No
+    negative weight multiplies a deviation, so the large negative centre
+    weight of a small eta costs no digits.
 
     Attributes:
         h_hat: Predicted (weighted mean) channel or measurement.
         E: Weighted image factor, k x m; (2n+1) x m from sigma points.
-        J: Symmetric core, k x k; the diagonal signs above from sigma points.
+        J: Symmetric core, k x k; the identity from sigma points.
         T: Weighted state factor, k x n; its last row is zero from sigma
             points.
     """
@@ -151,7 +146,7 @@ def sigma_points(x_hat: np.ndarray, R: np.ndarray, params: UkfParams) -> SigmaSe
     Args:
         x_hat: Mean vector, length n.
         R: Covariance, n x n symmetric PSD.
-        params: Scaling parameters; requires n + lambda > 0.
+        params: Scaling parameters (``_sigma_scale``).
 
     Returns:
         SigmaSet of 2n+1 points whose weighted moments reproduce (x_hat, R).
@@ -162,15 +157,23 @@ def sigma_points(x_hat: np.ndarray, R: np.ndarray, params: UkfParams) -> SigmaSe
         root = matrix_sqrt_psd(scale * np.asarray(R, dtype=float))
     except IndefiniteMatrix as exc:
         raise IndefiniteCovariance(str(exc)) from exc
-    w_mean, w_cov = _sigma_weights(x_hat.shape[0], params)
-    return SigmaSet(points=_sigma_points(x_hat, root), w_mean=w_mean, w_cov=w_cov)
+    return SigmaSet(points=_sigma_points(x_hat, root), params=params)
 
 
 def _sigma_scale(n: int, params: UkfParams) -> float:
-    """The factor n + lambda by which the sigma root scales the covariance."""
+    """The factor n + lambda by which the sigma root scales the covariance.
+
+    Raises:
+        BadScaling: ``n + lambda <= 0``, or ``params`` give the mean-shift
+            term a negative weight, as ``_beta`` sums it (eta above about
+            sqrt(2)).
+    """
     scale = n + params.lam(n)
     if scale <= 0.0:
         raise BadScaling(f"need dim + lambda > 0, got {scale}")
+    beta = _beta(_sigma_weights(n, params)[1])
+    if beta < 0.0:
+        raise BadScaling(f"need beta >= 0, got {beta} at eta {params.eta}")
     return scale
 
 
@@ -210,24 +213,18 @@ def channel_statistics(sigma: SigmaSet, channel_fn) -> ChannelStats:
     ``channel_fn`` maps the (2n+1, n) points to their stacked-real channels,
     one row each (``make_channel_fn``).  Beam design consumes the result;
     ``update`` builds the same factors from its measurement map.
-
-    Raises:
-        BadScaling: the outer mean and covariance weights differ, as no
-            set from ``sigma_points`` does.
     """
-    w = sigma.w_cov[1:]
-    if not np.array_equal(sigma.w_mean[1:], w):
-        raise BadScaling("outer mean and covariance weights differ")
+    w_cov = sigma.w_cov
     zeta = np.asarray(channel_fn(sigma.points), dtype=float)
-    return _sigma_moments(zeta, sigma.points, w, _beta(sigma.w_cov))
+    return _sigma_moments(zeta, sigma.points, w_cov[1:], _beta(w_cov))
 
 
 def _sigma_moments(zeta, points, w, beta: float) -> ChannelStats:
     """The factored moments of the images ``zeta`` of the sigma ``points``.
 
-    ``zeta`` holds one image per point, ``w`` the outer weights, which must
-    be equal for mean and covariance, and ``beta`` the weight of the
-    mean-shift term (``_beta``).
+    ``zeta`` holds one image per point, ``w`` the outer weights, equal for
+    mean and covariance, and ``beta`` the weight of the mean-shift term
+    (``_beta``), nonnegative.
     """
     if zeta.shape[0] != points.shape[0]:
         raise DimensionMismatch(
@@ -239,14 +236,11 @@ def _sigma_moments(zeta, points, w, beta: float) -> ChannelStats:
     root_w = np.sqrt(w)[:, None]
     E = np.empty((k, zeta.shape[1]))
     np.multiply(root_w, Z, out=E[:-1])
-    np.multiply(np.sqrt(abs(beta)), m, out=E[-1])
+    np.multiply(math.sqrt(beta), m, out=E[-1])
     dX = points[1:] - points[0]
     T = np.zeros(points.shape)
     np.multiply(root_w, dX - w @ dX, out=T[:-1])
-    J = np.eye(k)
-    if beta < 0.0:
-        J[-1, -1] = -1.0
-    return ChannelStats(h_hat=zeta[0] + m, E=E, J=J, T=T)
+    return ChannelStats(h_hat=zeta[0] + m, E=E, J=np.eye(k), T=T)
 
 
 def _beta(w_cov) -> float:
@@ -259,9 +253,7 @@ def _beta(w_cov) -> float:
     return math.fsum(w_cov) - 2.0
 
 
-def push_through_solve(
-    stats: ChannelStats, c: float, check: bool, error=SingularInnovation
-):
+def push_through_solve(stats: ChannelStats, c: float, error=None):
     """Solves the moments' covariance plus noise in the factors' subspace.
 
     For the moments' covariance ``E^T J E`` (``E`` of shape k x p) and the
@@ -277,22 +269,23 @@ def push_through_solve(
     noise variance ``c``, and the Gram matrix of the beam pencil.  ``h_hat``
     does not enter.
 
-    B is positive definite exactly when every eigenvalue of K is positive.
-    With ``check`` set, ``det K > 0`` is required, which decides that for
-    the core's contract of at most one negative eigenvalue.
+    B is positive definite exactly when every eigenvalue of K is positive,
+    as it is for a positive semidefinite core such as sigma points give.
+    With ``error`` given, ``det K > 0`` is required, which decides it for a
+    core with at most one negative eigenvalue.
 
     Returns:
         ``(Y, T^T G Y)``.
 
     Raises:
-        error: ``check`` is set and ``det K <= 0``.
+        error: ``error`` is given and ``det K <= 0``.
     """
     E, T = stats.E, stats.T
     k = E.shape[0]
     G = E @ E.T
     K = stats.J @ G
     K.flat[:: k + 1] += c
-    if check and np.linalg.slogdet(K)[0] <= 0.0:
+    if error is not None and np.linalg.slogdet(K)[0] <= 0.0:
         raise error("noise plus factored covariance is not positive definite")
     Y = np.linalg.solve(K, T)
     return Y, (G @ T).T @ Y
@@ -398,33 +391,26 @@ def update(
         y: Stacked-real measurement and its linear SNR.
         params: Sigma-point scaling parameters.
         sigma: Sigma points of the prior, if already drawn for beam design;
-            they serve the first step.  Their weights must be those
-            ``sigma_points`` gives for ``params``.
+            they serve the first step.  They must be drawn at ``params``.
         steps: Number of partial updates; 1 is the single-pass update.
 
     Returns:
         Posterior TrackerState with conditioned covariance.
 
     Raises:
-        SingularInnovation: ``sigma`` has a negative outer weight, or the
-            innovation covariance of a step is not positive definite.
-        BadScaling: ``steps < 1``, or ``sigma``'s weights are not those of
-            ``params``.
+        BadScaling: ``steps < 1``, ``params`` are out of range
+            (``_sigma_scale``), or ``sigma`` was drawn at other parameters.
     """
     if steps < 1:
         raise BadScaling(f"need at least one update step, got {steps}")
     x, R = prior.x_hat.x, prior.R
     n = x.shape[0]
     scale = _sigma_scale(n, params)
-    w_mean, w_cov = _sigma_weights(n, params)
+    w_cov = _sigma_weights(n, params)[1]
     if sigma is None:
         sigma = sigma_points(x, R, params)
-    elif np.any(sigma.w_cov[1:] < 0.0):
-        raise SingularInnovation("sigma set has negative outer covariance weights")
-    elif not (
-        np.array_equal(sigma.w_mean, w_mean) and np.array_equal(sigma.w_cov, w_cov)
-    ):
-        raise BadScaling("sigma weights are not those of the filter's parameters")
+    elif sigma.params != params:
+        raise BadScaling(f"sigma set drawn at {sigma.params}, update at {params}")
     points = sigma.points
     w = w_cov[1:]
     beta = _beta(w_cov)
@@ -443,19 +429,10 @@ def _partial_step(points, measure, y: Observation, w, beta: float, c: float):
     The images ``zeta`` of the points give their moments as a
     ``ChannelStats`` in measurement space, built as ``channel_statistics``
     builds them: the predicted measurement ``h_hat = zeta[0] + m``, the
-    innovation covariance ``S = c I + E^T J E`` and the cross-covariance
-    ``T^T E``.  No negative weight multiplies a deviation, so a large
-    negative centre weight costs no digits.  With ``Y = K^-1 T`` from
+    innovation covariance ``S = c I + E^T E``, at least ``c I``, and the
+    cross-covariance ``T^T E``.  With ``Y = K^-1 T`` from
     ``push_through_solve``, the gain gives ``dx = T^T E S^-1 nu = Y^T E nu``
     and ``dR = T^T G Y``; S itself, 2*N_T*N_R square, is never formed.
-
-    For ``beta >= 0`` S is at least ``c I``.  Otherwise S is positive
-    definite less a rank-one term, so it is positive definite exactly when
-    ``det K > 0``, which is checked.  With the filter's own weights the 2n
-    outer weights sum to ``1 / eta^2`` and ``beta = 2 - eta^2``, so by
-    Cauchy-Schwarz the rank-one term is at most ``1 - 2 / eta^2`` of the
-    rest and S is at least ``c I`` there too; the check holds the step to
-    its contract for any ``beta``.
     """
     zeta = np.asarray(measure(points), dtype=float)
     if zeta.shape[1:] != y.y_real.shape:
@@ -464,5 +441,5 @@ def _partial_step(points, measure, y: Observation, w, beta: float, c: float):
             f"observation has {y.y_real.shape[0]}"
         )
     stats = _sigma_moments(zeta, points, w, beta)
-    Y, dR = push_through_solve(stats, c, check=beta < 0.0)
+    Y, dR = push_through_solve(stats, c)
     return Y.T @ (stats.E @ (y.y_real - stats.h_hat)), dR

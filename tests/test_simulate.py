@@ -581,8 +581,9 @@ def test_run_is_bit_identical_at_one_and_two_blas_threads():
 # read from schedstat, first for the main thread.  Before reading, it waits
 # until the BLAS threads, which spin for a while after they start, are idle.
 _THREAD_CPU_SCRIPT = """
-import json, os, threading, time
+import contextlib, io, json, os, tempfile, threading, time
 import numpy as np
+from beamtrack.cli import cmd_simulate
 from beamtrack.numerics import rank_one_factor
 from beamtrack.simulate import ScenarioConfig, run_frame
 
@@ -606,6 +607,9 @@ run_frame(ScenarioConfig(frame_length=5e-4), 0)
 rng = np.random.default_rng(40)
 for _ in range(3):
     rank_one_factor(rng.standard_normal((96, 96)) + 1j * rng.standard_normal((96, 96)))
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    settings = ("fine_step=1e-4", "frame_length=2e-3", "num_runs=1", f"output_dir={out}")
+    assert cmd_simulate(None, settings) == 0
 after = cpu_ns()
 print(json.dumps([after[main] - before[main]]
                  + [after[t] - before.get(t, 0) for t in after if t != main]))
@@ -630,13 +634,16 @@ def _numpy_uses_openblas():
 def test_default_run_wakes_no_second_blas_thread():
     """At two OpenBLAS threads, a default run and Kronecker fits leave other threads idle.
 
-    The other threads must use under 5 % of the main thread's CPU.
+    So does ``beamtrack simulate`` in process on one fine step per sounding,
+    which adds the batch summary and the file output to the run.  The other
+    threads must use under 5 % of the main thread's CPU.
 
     A BLAS call above OpenBLAS's threading threshold wakes a worker, which
     then spins until its next job or a timeout, so even rare calls show.
     """
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     env["OPENBLAS_NUM_THREADS"] = "2"
+    env["BEAMTRACK_THREADS"] = "1"
     env.pop("OPENBLAS_THREAD_TIMEOUT", None)
     src = str(Path(beamtrack.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -24,6 +24,7 @@ from beamtrack.sounding import (
 from beamtrack.tracker import (
     TrackerState,
     UkfParams,
+    _sigma_weights,
     channel_statistics,
     make_channel_fn,
     predict,
@@ -82,6 +83,35 @@ class TestSigmaPoints:
     def test_rejects_bad_scaling(self):
         with pytest.raises(BadScaling):
             sigma_points(np.zeros(6), np.eye(6), UkfParams(eta=0.0))
+
+    @pytest.mark.parametrize("n", [6, 24, 49])
+    def test_eta_range_ends_where_the_summed_beta_turns_negative(self, n):
+        # beta = MU - eta^2 vanishes at sqrt(2).  Over the floats about it,
+        # sigma_points refuses exactly the etas whose summed weights give a
+        # negative beta, and those are the upper ones; every set it draws
+        # has finite factors on an identity core.
+        A = np.random.default_rng(32).standard_normal((n, 3))
+        eta = math.sqrt(2.0)
+        for _ in range(8):
+            eta = math.nextafter(eta, 0.0)
+        accepted, refused = [], []
+        for _ in range(16):
+            params = UkfParams(eta=eta)
+            beta = math.fsum(_sigma_weights(n, params)[1]) - 2.0
+            try:
+                sigma = sigma_points(np.zeros(n), np.eye(n), params)
+            except BadScaling:
+                assert beta < 0.0
+                refused.append(eta)
+            else:
+                assert beta >= 0.0
+                stats = channel_statistics(sigma, lambda X: np.sin(X @ A))
+                assert np.all(np.isfinite(stats.E))
+                np.testing.assert_array_equal(stats.J, np.eye(2 * n + 1))
+                accepted.append(eta)
+            eta = math.nextafter(eta, 2.0)
+        assert accepted and refused
+        assert max(accepted) < min(refused)
 
     def test_rejects_indefinite_covariance(self):
         R = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
@@ -236,10 +266,9 @@ def stepwise_update(prior, measure, obs, params, steps):
 
     Each step writes out the (2n+1)-square system that ``update`` solves:
     with ``Z`` and ``dX`` the measurement and state differences from the
-    centre point, ``E = [sqrt(w) Z; sqrt|beta| m]``,
-    ``T = [sqrt(w) (dX - w dX); 0]``, ``G = E E^T`` and
-    ``K = c I + diag(1, ..., sign beta) G``, the increments are
-    ``Y^T E nu`` and ``T^T G Y`` with ``Y = K^-1 T``.
+    centre point, ``E = [sqrt(w) Z; sqrt(beta) m]``,
+    ``T = [sqrt(w) (dX - w dX); 0]``, ``G = E E^T`` and ``K = c I + G``,
+    the increments are ``Y^T E nu`` and ``T^T G Y`` with ``Y = K^-1 T``.
     """
     x, R = prior.x_hat.x, prior.R
     for i in range(steps):
@@ -251,11 +280,11 @@ def stepwise_update(prior, measure, obs, params, steps):
         zeta = measure(sigma.points)
         Z = zeta[1:] - zeta[0]
         m = w @ Z
-        E = np.vstack([np.sqrt(w)[:, None] * Z, np.sqrt(abs(beta)) * m])
+        E = np.vstack([np.sqrt(w)[:, None] * Z, np.sqrt(beta) * m])
         dX = sigma.points[1:] - sigma.points[0]
         T = np.vstack([np.sqrt(w)[:, None] * (dX - w @ dX), np.zeros(x.size)])
         G = E @ E.T
-        K = np.diag(np.r_[np.ones(w.size), np.sign(beta)]) @ G + c * np.eye(w.size + 1)
+        K = G + c * np.eye(w.size + 1)
         Y = np.linalg.solve(K, T)
         x = x + Y.T @ (E @ (obs.y_real - (zeta[0] + m)))
         R = R - (G @ T).T @ Y

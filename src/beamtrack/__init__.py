@@ -24,7 +24,8 @@ Layers, bottom up:
   with Kronecker factor recovery, plus non-adaptive baselines.
 * :mod:`beamtrack.simulate` — Monte Carlo frames, metric arms, and the
   pooled per-arm summary of a batch.
-* :mod:`beamtrack.cli` — `beamtrack simulate` / `beamtrack selftest`.
+* :mod:`beamtrack.cli` — `beamtrack simulate` / `beamtrack sweep` /
+  `beamtrack selftest`.
 """
 
 from .beams import (

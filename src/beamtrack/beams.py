@@ -71,7 +71,7 @@ def unconstrained_optimal_directions(
 
     Returns the leading min(num_dirs, n) generalized eigenvectors of the
     pencil (A, B), with A = R_xh^T R_xh and B = Pi + (1/(2 rho)) I for the
-    moments Pi = E^T J E and R_xh = T^T E of ``stats``, as unit-norm columns
+    moments Pi = E^T E and R_xh = T^T E of ``stats``, as unit-norm columns
     together with their eigenvalues in descending order.  ``h_hat`` does not
     enter.
 
@@ -88,17 +88,14 @@ def unconstrained_optimal_directions(
     channel at SNR rho.
 
     Raises:
-        DimensionMismatch: E, J and T disagree in their leading dimension k.
+        DimensionMismatch: E and T disagree in their leading dimension k.
         NonpositiveSnr: ``rho <= 0``.
         BadBeamCount: ``num_dirs < 1``.
         SingularB: B is not positive definite.
     """
-    E, J, T = stats.E, stats.J, stats.T
-    k = E.shape[0]
-    if E.ndim != 2 or J.shape != (k, k) or T.ndim != 2 or T.shape[0] != k:
-        raise DimensionMismatch(
-            f"factor shapes E {E.shape}, J {J.shape}, T {T.shape} do not agree"
-        )
+    E, T = stats.E, stats.T
+    if E.ndim != 2 or T.ndim != 2 or T.shape[0] != E.shape[0]:
+        raise DimensionMismatch(f"factor shapes E {E.shape}, T {T.shape} do not agree")
     if rho <= 0.0:
         raise NonpositiveSnr(f"snr must be positive, got {rho}")
     if num_dirs < 1:

@@ -617,30 +617,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Channel-tracking Monte Carlo experiments and numeric selftest.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    overrides = argparse.ArgumentParser(add_help=False)
+    overrides.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one config key (repeatable; applied after any --config)",
+    )
     sim = sub.add_parser(
-        "simulate", help="run the experiment and write paths.csv/esnr.csv/summary.json"
+        "simulate",
+        parents=[overrides],
+        help="run the experiment and write paths.csv/esnr.csv/summary.json",
     )
     sim.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    sim.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one config key (repeatable; applied after --config)",
-    )
     sw = sub.add_parser(
-        "sweep", help="run the batch at each seed and print checks 6-8 and locked paths"
+        "sweep",
+        parents=[overrides],
+        help="run the batch at each seed and print checks 6-8 and locked paths",
     )
     sw.add_argument("--seeds", required=True, metavar="A-B", help="seeds A to B, or one seed")
-    sw.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one config key (repeatable)",
-    )
     st = sub.add_parser("selftest", help="run the numeric invariant suite")
     st.add_argument(
         "--inject-fault",

@@ -65,7 +65,12 @@ class IndefiniteCovariance(BeamtrackError):
 
 
 class BadScaling(BeamtrackError):
-    """Sigma scaling is invalid (n + lambda <= 0 or beta < 0) or not the update's own."""
+    """Invalid sigma scaling or partial-step count.
+
+    The scaling gives n + lambda <= 0 or beta < 0, a sigma set is not the
+    update's own, or the update's partial steps have no finite noise
+    variances.
+    """
 
 
 # --- beam design ---

@@ -45,7 +45,7 @@ import numpy as np
 from .beams import design_beams
 from .channel import ArrayGeometry, ChannelState, StateLayout, steering_factors
 from .dynamics import DynamicsModel, advance_truth_steps, build_transition, predicted_mean
-from .errors import BadConfig, EmptyInput, ZeroChannel
+from .errors import BadConfig, BadScaling, EmptyInput, ZeroChannel
 from .sounding import build_plan, noiseless_measurement, observation_map, observe
 from .tracker import (
     TrackerState,
@@ -61,11 +61,15 @@ from .tracker import (
 
 DIVERGENCE_NORM = 1e9
 
-# Highest SNR the config accepts.  Beam design factors Pi + I/(2 rho), where
-# the sigma covariance Pi is rank deficient; at a high SNR the noise term no
-# longer lifts it above round-off and the run stops on SingularB.  Five-period
-# runs at M_T = M_R = 64, L = 8 factor at 80 dB (seeds 0-7) but not at 100 dB
-# (seed 2); the default scenario first fails at 140 dB.
+# Highest SNR the config accepts.  Beam design solves K = c I + E E^T at
+# c = 1/(2 rho) (``tracker.push_through_solve``), where E E^T of the sigma
+# factors is ill-conditioned; at a high SNR c no longer lifts K's smallest
+# eigenvalues above round-off, det K comes out nonpositive and the run stops
+# on SingularB.  Five-period runs (fine_step 1e-4, seeds 0-7): at
+# M_T = M_R = 64, L = 8 all pass at 90 dB; at 100 dB all pass with two BLAS
+# threads but seed 1 stops with one, and at 110 dB three or four seeds stop.
+# The default scenario passes at 120 dB; five seeds stop at 130 dB and all
+# eight at 140 dB.
 MAX_RHO_DB = 80.0
 
 # Lowest gain correlation the config accepts.  The predicted arm scales gains
@@ -150,16 +154,18 @@ class ScenarioConfig:
             rho = math.inf
         if not 0.0 < rho < math.inf:
             raise BadConfig(f"rho_db={self.rho_db} gives no positive finite SNR")
-        with np.errstate(over="ignore", divide="ignore"):
-            first_noise_var = partial_noise_variances(rho, UPDATE_STEPS)[0]
-        if not math.isfinite(first_noise_var):
-            raise BadConfig(f"rho_db={self.rho_db} gives the update infinite noise variance")
+        try:
+            partial_noise_variances(rho, UPDATE_STEPS)
+        except BadScaling:
+            raise BadConfig(
+                f"rho_db={self.rho_db} gives the update infinite noise variance"
+            ) from None
         if self.beta < MIN_BETA:
             raise BadConfig(f"beta={self.beta} is below {MIN_BETA}; predicted gains underflow")
         if self.rho_db > MAX_RHO_DB:
             raise BadConfig(
                 f"rho_db={self.rho_db} is above {MAX_RHO_DB} dB, where beam design "
-                "cannot factor its pencil"
+                "cannot solve its pencil"
             )
         for name in ("L", "M_T", "M_R", "N_T", "N_R", "num_runs"):
             if getattr(self, name) < 1:

@@ -93,20 +93,20 @@ class SigmaSet:
 class ChannelStats:
     """Sigma moments of a channel or a measurement, kept factored.
 
-    The moments are the mean ``h_hat``, the covariance ``Pi = E^T J E`` and
-    the state cross-covariance ``R_xh = T^T E``, for ``E`` of shape k x m,
-    a symmetric k-square core ``J`` and ``T`` of shape k x n.  Both solves
-    take their moments in this form (``push_through_solve``).  Dense
-    moments are the factors ``E = I``, ``J = Pi``, ``T = R_xh^T``; a state
-    weighting W, as in A = R_xh^T W^-1 R_xh, is the column scaling
-    ``T / sqrt(W)``.
+    The moments are the mean ``h_hat``, the covariance ``Pi = E^T E`` and
+    the state cross-covariance ``R_xh = T^T E``, for ``E`` of shape k x m
+    and ``T`` of shape k x n: the moments of a joint Gaussian, whose
+    cross-covariance lies in the range of Pi.  Both solves take their
+    moments in this form (``push_through_solve``).  Dense moments enter
+    through a root, ``E`` with ``E^T E = Pi`` and ``T`` solving
+    ``E^T T = R_xh^T``; a state weighting W, as in A = R_xh^T W^-1 R_xh, is
+    the column scaling ``T / sqrt(W)``.
 
     From the images ``zeta`` of 2n+1 sigma points, with ``Z = zeta[1:] -
     zeta[0]``, the points' differences ``dX`` from the centre point, the
     outer weights ``w``, ``m = w Z`` and ``s = w dX``, the factors are
 
-        ``E = [sqrt(w) Z; sqrt(beta) m]``, ``J = I``,
-        ``T = [sqrt(w) (dX - s); 0]``,
+        ``E = [sqrt(w) Z; sqrt(beta) m]``, ``T = [sqrt(w) (dX - s); 0]``,
 
     where ``beta >= 0`` is the weight of the mean-shift term (``_beta``).
     These are exactly the sigma-weighted moments, ``h_hat = zeta[0] + m``
@@ -118,21 +118,18 @@ class ChannelStats:
     Attributes:
         h_hat: Predicted (weighted mean) channel or measurement.
         E: Weighted image factor, k x m; (2n+1) x m from sigma points.
-        J: Symmetric core, k x k; the identity from sigma points.
         T: Weighted state factor, k x n; its last row is zero from sigma
             points.
     """
 
     h_hat: np.ndarray
     E: np.ndarray
-    J: np.ndarray
     T: np.ndarray
 
     @property
     def Pi(self) -> np.ndarray:
         """Sigma covariance of the channel, formed densely."""
-        Pi = (self.J @ self.E).T @ self.E
-        return (Pi + Pi.T) / 2.0
+        return self.E.T @ self.E
 
     @property
     def R_xh(self) -> np.ndarray:
@@ -230,17 +227,16 @@ def _sigma_moments(zeta, points, w, beta: float) -> ChannelStats:
         raise DimensionMismatch(
             f"map returned {zeta.shape[0]} rows for {points.shape[0]} sigma points"
         )
-    k = points.shape[0]
     Z = zeta[1:] - zeta[0]
     m = w @ Z
     root_w = np.sqrt(w)[:, None]
-    E = np.empty((k, zeta.shape[1]))
+    E = np.empty((points.shape[0], zeta.shape[1]))
     np.multiply(root_w, Z, out=E[:-1])
     np.multiply(math.sqrt(beta), m, out=E[-1])
     dX = points[1:] - points[0]
     T = np.zeros(points.shape)
     np.multiply(root_w, dX - w @ dX, out=T[:-1])
-    return ChannelStats(h_hat=zeta[0] + m, E=E, J=np.eye(k), T=T)
+    return ChannelStats(h_hat=zeta[0] + m, E=E, T=T)
 
 
 def _beta(w_cov) -> float:
@@ -256,9 +252,9 @@ def _beta(w_cov) -> float:
 def push_through_solve(stats: ChannelStats, c: float, error=None):
     """Solves the moments' covariance plus noise in the factors' subspace.
 
-    For the moments' covariance ``E^T J E`` (``E`` of shape k x p) and the
-    noise level ``c``, ``B = c I + E^T J E`` is p-square, but the
-    push-through identity ``B E^T = E^T K`` with ``K = c I + J G`` and
+    For the moments' covariance ``E^T E`` (``E`` of shape k x p) and the
+    noise level ``c``, ``B = c I + E^T E`` is p-square, but the
+    push-through identity ``B E^T = E^T K`` with ``K = c I + G`` and
     ``G = E E^T`` gives ``B^-1 E^T = E^T K^-1``.  So for the
     cross-covariance ``T^T E`` (``T`` of shape k x r)
 
@@ -269,10 +265,9 @@ def push_through_solve(stats: ChannelStats, c: float, error=None):
     noise variance ``c``, and the Gram matrix of the beam pencil.  ``h_hat``
     does not enter.
 
-    B is positive definite exactly when every eigenvalue of K is positive,
-    as it is for a positive semidefinite core such as sigma points give.
-    With ``error`` given, ``det K > 0`` is required, which decides it for a
-    core with at most one negative eigenvalue.
+    K is positive definite for any ``c > 0`` in exact arithmetic; at c zero,
+    or tiny beside G, it can be singular to working precision, and with
+    ``error`` given ``det K > 0`` is required.
 
     Returns:
         ``(Y, T^T G Y)``.
@@ -281,14 +276,13 @@ def push_through_solve(stats: ChannelStats, c: float, error=None):
         error: ``error`` is given and ``det K <= 0``.
     """
     E, T = stats.E, stats.T
-    k = E.shape[0]
-    G = E @ E.T
-    K = stats.J @ G
-    K.flat[:: k + 1] += c
+    K = E @ E.T  # G, until c joins its diagonal
+    GT = K @ T
+    K.flat[:: K.shape[0] + 1] += c
     if error is not None and np.linalg.slogdet(K)[0] <= 0.0:
         raise error("noise plus factored covariance is not positive definite")
     Y = np.linalg.solve(K, T)
-    return Y, (G @ T).T @ Y
+    return Y, GT.T @ Y
 
 
 def _condition_covariance(R: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -326,9 +320,23 @@ def predict(ts: TrackerState, tp: TransitionPair) -> TrackerState:
 
 
 def partial_noise_variances(rho: float, steps: int) -> np.ndarray:
-    """Noise variance of each of ``update``'s partial steps at SNR rho; step 0's is largest."""
-    fractions = 2.0 ** np.arange(steps) / (2.0**steps - 1.0)
-    return 1.0 / (2.0 * rho * fractions)
+    """Noise variance of each of ``update``'s partial steps at SNR rho; step 0's is largest.
+
+    Raises:
+        BadScaling: ``steps < 1``, or a variance is not finite: rho is too
+            low for step 0's share of the information, or ``2**steps``
+            overflows (from 1024 steps).
+    """
+    if steps < 1:
+        raise BadScaling(f"need at least one update step, got {steps}")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fractions = 2.0 ** np.arange(steps) / (np.float64(2.0) ** steps - 1.0)
+        variances = 1.0 / (2.0 * rho * fractions)
+    if not np.all(np.isfinite(variances)):
+        raise BadScaling(
+            f"{steps} update steps at SNR {rho} give a noise variance that is not finite"
+        )
+    return variances
 
 
 def information_ratio(R: np.ndarray, reduction: np.ndarray) -> float:
@@ -398,11 +406,11 @@ def update(
         Posterior TrackerState with conditioned covariance.
 
     Raises:
-        BadScaling: ``steps < 1``, ``params`` are out of range
+        BadScaling: ``partial_noise_variances`` refuses ``steps`` at the
+            observation's SNR, ``params`` are out of range
             (``_sigma_scale``), or ``sigma`` was drawn at other parameters.
     """
-    if steps < 1:
-        raise BadScaling(f"need at least one update step, got {steps}")
+    variances = partial_noise_variances(y.snr_rho, steps)
     x, R = prior.x_hat.x, prior.R
     n = x.shape[0]
     scale = _sigma_scale(n, params)
@@ -414,7 +422,7 @@ def update(
     points = sigma.points
     w = w_cov[1:]
     beta = _beta(w_cov)
-    for step, c in enumerate(partial_noise_variances(y.snr_rho, steps)):
+    for step, c in enumerate(variances):
         if step > 0:
             points = _sigma_points(x, root)
         dx, dR = _partial_step(points, measure, y, w, beta, c)

@@ -61,16 +61,18 @@ RHO = 10.0
 
 
 def design_input(rng, n=6, m=8, Pi=None, R_xh=None):
-    """Dense moments with channel covariance Pi (zero by default).
+    """Dense moments with a positive definite channel covariance Pi (I by default).
 
-    Dense moments are the factors E = I, J = Pi and T = R_xh^T.
+    They enter through the Cholesky root of Pi: E = L^T, with E^T E = Pi,
+    and T solving E^T T = R_xh^T.
     """
     if Pi is None:
-        Pi = np.zeros((2 * m, 2 * m))
+        Pi = np.eye(2 * m)
     drawn = rng.standard_normal((n, 2 * m))
     if R_xh is None:
         R_xh = drawn
-    return ChannelStats(h_hat=np.zeros(2 * m), E=np.eye(2 * m), J=Pi, T=R_xh.T)
+    E = np.linalg.cholesky(Pi).T
+    return ChannelStats(h_hat=np.zeros(2 * m), E=E, T=np.linalg.solve(E.T, R_xh.T))
 
 
 class TestUnconstrainedOptimalDirections:
@@ -89,19 +91,20 @@ class TestUnconstrainedOptimalDirections:
         V, eigvals, _ = unconstrained_optimal_directions(stats, RHO, 4)
         cos = abs(V[:, 0] @ r) / (np.linalg.norm(V[:, 0]) * np.linalg.norm(r))
         assert cos > 1.0 - 1e-10
-        np.testing.assert_allclose(eigvals[0], 2.0 * RHO * (r @ r), rtol=1e-10)
+        np.testing.assert_allclose(eigvals[0], (r @ r) / (1.0 + 1.0 / (2.0 * RHO)), rtol=1e-10)
         np.testing.assert_allclose(eigvals[1:], 0.0, atol=1e-8)
 
     def test_directions_do_not_underflow_at_a_tiny_snr(self):
-        # With Pi = 0, B = I / (2 rho): the directions are A's top
-        # eigenvectors at every SNR, and the eigenvalues scale with rho.
+        # With Pi = I, B = (1 + 1/(2 rho)) I: the directions are A's top
+        # eigenvectors at every SNR, and the eigenvalues scale with
+        # 1 / (1 + 1/(2 rho)).
         rng = np.random.default_rng(73)
         stats = design_input(rng)
         V1, w1, _ = unconstrained_optimal_directions(stats, 1.0, 4)
         V, w, _ = unconstrained_optimal_directions(stats, 1e-300, 4)
         np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, rtol=1e-14)
         np.testing.assert_allclose(V, V1, atol=1e-12)
-        np.testing.assert_allclose(w, 1e-300 * w1, rtol=1e-12)
+        np.testing.assert_allclose(w * (1.0 + 1.0 / 2e-300), w1 * 1.5, rtol=1e-12)
 
     def test_residual_on_random_pencils(self):
         rng = np.random.default_rng(72)
@@ -109,7 +112,7 @@ class TestUnconstrainedOptimalDirections:
         Pi = M @ M.T / 16.0
         stats = design_input(rng, Pi=Pi)
         V, eigvals, _ = unconstrained_optimal_directions(stats, RHO, 4)
-        A = stats.T @ stats.T.T
+        A = stats.R_xh.T @ stats.R_xh
         B = Pi + np.eye(16) / (2.0 * RHO)
         resid = np.linalg.norm(A @ V - B @ V @ np.diag(eigvals))
         assert resid < 1e-8
@@ -137,7 +140,7 @@ class TestDesignChecks:
         with pytest.raises(BadBeamCount):
             design_beams(self.stats(), self.GEOM, self.GEOM, RHO, n_t, n_r)
 
-    @pytest.mark.parametrize("factor", ["E", "J", "T"])
+    @pytest.mark.parametrize("factor", ["E", "T"])
     def test_factors_disagreeing_in_k(self, factor):
         stats = self.stats()
         short = replace(stats, **{factor: getattr(stats, factor)[:-1]})
@@ -215,8 +218,8 @@ class TestSignalSubspace:
         rng = np.random.default_rng(93)
         stats = self.rank_two_input(rng)
         V, eigvals, _ = unconstrained_optimal_directions(stats, RHO, 4)
-        A = stats.T @ stats.T.T
-        B = stats.E.T @ stats.J @ stats.E + np.eye(32) / (2.0 * RHO)
+        A = stats.R_xh.T @ stats.R_xh
+        B = stats.Pi + np.eye(32) / (2.0 * RHO)
         w, U = generalized_eig_sym(A, B, 2)
         np.testing.assert_allclose(eigvals[:2], w, rtol=1e-10)
         for j in range(2):

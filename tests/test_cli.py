@@ -21,7 +21,7 @@ from beamtrack.cli import (
     main,
     seed_checks,
 )
-from beamtrack.errors import BadConfig
+from beamtrack.errors import BadConfig, ZeroChannel
 from beamtrack.simulate import RunRecord, ScenarioConfig, aggregate_runs, run_frame, run_many
 
 SMALL = [
@@ -487,3 +487,20 @@ class TestSweepCommand:
     def test_bad_override_exits_1(self, capsys):
         assert main(["sweep", "--seeds", "0", "--set", "L=0"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_runtime_error_stops_the_sweep_and_exits_2(self, capsys, monkeypatch):
+        real_run_many = cli.run_many
+
+        def run_many(cfg):
+            if cfg.seed == 4:
+                raise ZeroChannel("the true channel matrix is identically zero")
+            return real_run_many(cfg, max_workers=1)
+
+        monkeypatch.setattr(cli, "run_many", run_many)
+        assert main(["sweep", "--seeds", "3-5", *(f"--set={s}" for s in SWEEP)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "runtime error at seed 4: the true channel matrix is identically zero"
+        ]
+        lines = captured.out.splitlines()
+        assert [line.split()[0] for line in lines[1:]] == ["3"]

@@ -1,6 +1,6 @@
 """Factored sigma-subspace kernels against the dense channel-space maths.
 
-Beam design solves its pencil through the factored moments Pi = E^T J E
+Beam design solves its pencil through the factored moments Pi = E^T E
 and R_xh = T^T E of ``ChannelStats``, and the update pushes sigma points
 through the factored observation map; both solve the same (2n+1)-square
 push-through system.
@@ -23,6 +23,7 @@ from beamtrack.beams import (
 from beamtrack.channel import ArrayGeometry, StateLayout
 from beamtrack.errors import BadScaling, SingularB
 from beamtrack import simulate
+from beamtrack.numerics import matrix_sqrt_psd
 from beamtrack.simulate import FILTER_PARAMS, ScenarioConfig, generate_scenario, run_frame
 from beamtrack.sounding import Observation, build_plan, observation_map, observe
 from beamtrack.tracker import (
@@ -83,9 +84,14 @@ def assert_directions_match(stats, Pi, rho, n_dirs, W=None):
 
 
 def dense_moments(Pi, R_xh):
-    """Dense moments as factors: E = I, J = Pi, T = R_xh^T."""
-    m = Pi.shape[0]
-    return ChannelStats(h_hat=np.zeros(m), E=np.eye(m), J=Pi, T=R_xh.T)
+    """Dense moments through a root of Pi, as the README gives them.
+
+    E = matrix_sqrt_psd(Pi)^T, so E^T E = Pi, and T is the least-squares
+    solution of E^T T = R_xh^T, exact for rows of R_xh in the range of Pi.
+    """
+    E = matrix_sqrt_psd(Pi).T
+    T = np.linalg.lstsq(E.T, R_xh.T, rcond=None)[0]
+    return ChannelStats(h_hat=np.zeros(Pi.shape[0]), E=E, T=T)
 
 
 class TestFactoredPencil:
@@ -94,20 +100,6 @@ class TestFactoredPencil:
         cfg, stats = reference_stats(run_index)
         assert stats.E.shape == (2 * 6 * cfg.L + 1, 512)
         assert_directions_match(stats, stats.Pi, cfg.rho, cfg.N_T * cfg.N_R)
-
-    def test_matches_dense_solve_outside_the_sigma_span(self):
-        # A generic cross-covariance lies outside the span of the sigma
-        # differences, so it needs dense moments, T = R_xh^T.
-        cfg, stats = reference_stats(0)
-        rng = np.random.default_rng(100)
-        R_xh = rng.standard_normal(stats.R_xh.shape)
-        Q, _ = np.linalg.qr(stats.E.T)
-        U = R_xh.T
-        assert np.linalg.norm(U - Q @ (Q.T @ U)) > 0.9 * np.linalg.norm(U)
-        W = rng.uniform(0.5, 2.0, R_xh.shape[0])
-        assert_directions_match(
-            dense_moments(stats.Pi, R_xh), stats.Pi, cfg.rho, cfg.N_T * cfg.N_R, W
-        )
 
     def test_matches_dense_solve_on_a_generic_factor_coordinate(self):
         # T need not be the sigma state factor: a generic T, last row
@@ -120,26 +112,31 @@ class TestFactoredPencil:
             replace(stats, T=T), stats.Pi, cfg.rho, cfg.N_T * cfg.N_R, W
         )
 
-    def test_dense_input_is_the_identity_factor(self):
+    def test_dense_moments_enter_through_a_root_of_pi(self):
+        # The sigma moments, densely formed and entered through a 512-square
+        # root of Pi, give the pencil of the sigma factors.
         cfg, stats = reference_stats(0)
         dense = dense_moments(stats.Pi, stats.R_xh)
-        np.testing.assert_array_equal(dense.E, np.eye(512))
+        assert dense.E.shape == (512, 512)
+        assert np.linalg.norm(dense.R_xh - stats.R_xh) <= 1e-9 * np.linalg.norm(stats.R_xh)
         _, w_d, _ = unconstrained_optimal_directions(dense, cfg.rho, cfg.N_T * cfg.N_R)
         _, w_f, _ = unconstrained_optimal_directions(stats, cfg.rho, cfg.N_T * cfg.N_R)
         np.testing.assert_allclose(w_f, w_d, rtol=1e-9, atol=1e-9 * w_d[0])
 
-    def test_indefinite_core_raises_singular_b(self):
+    def test_noiseless_sounding_of_a_zero_row_raises_singular_b(self):
+        # At rho = inf the noise c = 1/(2 rho) is 0, and a zero row of E
+        # leaves K = E E^T singular.  Any positive noise lifts it.
         rng = np.random.default_rng(101)
-        m, k = 64, 9
-        F = rng.standard_normal((m, k))
-        Omega = np.diag(np.r_[-10.0, np.ones(k - 1)])
-        stats = ChannelStats(
-            h_hat=np.zeros(m), E=F.T, J=Omega, T=rng.standard_normal((k, 6))
-        )
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(F @ Omega @ F.T + np.eye(m) / 20.0)
+        geom = ArrayGeometry(4)
+        E = rng.standard_normal((9, 32))
+        E[4] = 0.0
+        stats = ChannelStats(h_hat=np.zeros(32), E=E, T=rng.standard_normal((9, 6)))
         with pytest.raises(SingularB):
-            unconstrained_optimal_directions(stats, 10.0, 4)
+            unconstrained_optimal_directions(stats, math.inf, 4)
+        with pytest.raises(SingularB):
+            design_beams(stats, geom, geom, math.inf, 2, 2)
+        for rho in (10.0, 1e300):
+            unconstrained_optimal_directions(stats, rho, 4)
 
 
 def small_problem(seed):
@@ -411,7 +408,7 @@ class TestSharedSubspaceSolve:
         dz_w = (zeta - h_hat) * w_cov[:, None]
         Pi = dz_w.T @ (zeta - h_hat)
         R_hx = dz_w.T @ (P - P[0])
-        for got, want in ((stats.E.T @ stats.J @ stats.E, Pi),
+        for got, want in ((stats.E.T @ stats.E, Pi),
                           (stats.E.T @ stats.T, R_hx),
                           (stats.h_hat, h_hat)):
             want = want.astype(float)

@@ -1,6 +1,7 @@
 """Tests for the unscented filter recursion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from beamtrack.tracker import (
     _sigma_weights,
     channel_statistics,
     make_channel_fn,
+    partial_noise_variances,
     predict,
     sigma_points,
     update,
@@ -89,7 +91,7 @@ class TestSigmaPoints:
         # beta = MU - eta^2 vanishes at sqrt(2).  Over the floats about it,
         # sigma_points refuses exactly the etas whose summed weights give a
         # negative beta, and those are the upper ones; every set it draws
-        # has finite factors on an identity core.
+        # has finite factors and a finite covariance E^T E.
         A = np.random.default_rng(32).standard_normal((n, 3))
         eta = math.sqrt(2.0)
         for _ in range(8):
@@ -107,7 +109,7 @@ class TestSigmaPoints:
                 assert beta >= 0.0
                 stats = channel_statistics(sigma, lambda X: np.sin(X @ A))
                 assert np.all(np.isfinite(stats.E))
-                np.testing.assert_array_equal(stats.J, np.eye(2 * n + 1))
+                assert np.all(np.isfinite(stats.Pi))
                 accepted.append(eta)
             eta = math.nextafter(eta, 2.0)
         assert accepted and refused
@@ -257,8 +259,14 @@ class TestRecursiveUpdate:
             short = Observation(y_real=np.ones(6), snr_rho=10.0)
             update(prior, measure, short, UkfParams(), steps=2)
         obs = Observation(y_real=np.ones(8), snr_rho=10.0)
-        with pytest.raises(BadScaling):
-            update(prior, measure, obs, UkfParams(), steps=0)
+        # 2**steps overflows from 1024 steps, leaving step 0 no finite noise
+        # variance; the update refuses such counts before any overflow or warning.
+        assert np.all(np.isfinite(partial_noise_variances(10.0, 1023)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for steps in (0, 1024, 1100):
+                with pytest.raises(BadScaling):
+                    update(prior, measure, obs, UkfParams(), steps=steps)
 
 
 def stepwise_update(prior, measure, obs, params, steps):
